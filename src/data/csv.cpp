@@ -235,8 +235,8 @@ void WriteAttackCsvRow(std::ostream& out, const AttackRecord& a) {
   out << a.ddos_id << ',' << a.botnet_id << ',' << FamilyName(a.family) << ','
       << ProtocolName(a.category) << ',' << a.target_ip.ToString() << ','
       << a.start_time.ToString() << ',' << a.end_time.ToString() << ','
-      << a.asn.value() << ',' << a.cc << ',' << CsvEscape(a.city) << ','
-      << StrFormat("%.6f", a.location.lat_deg) << ','
+      << a.asn.value() << ',' << CsvEscape(a.cc) << ',' << CsvEscape(a.city)
+      << ',' << StrFormat("%.6f", a.location.lat_deg) << ','
       << StrFormat("%.6f", a.location.lon_deg) << ','
       << CsvEscape(a.organization) << ',' << a.magnitude << '\n';
 }

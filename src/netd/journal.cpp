@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <charconv>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -50,7 +51,7 @@ Journal::Journal(const std::string& path, bool append_existing,
   const off_t end = ::lseek(fd_, 0, SEEK_END);
   cur_size_ = end > 0 ? static_cast<std::uint64_t>(end) : 0;
   if (cur_size_ == 0) {
-    // Fresh file: the header travels outside AppendBatch accounting, but
+    // Fresh file: the header travels outside AppendRows accounting, but
     // uses the same all-or-nothing discipline.
     std::string header(kJournalHeader);
     header.push_back('\n');
@@ -81,17 +82,22 @@ bool Journal::WriteAll(const char* data, std::size_t len) {
   return true;
 }
 
-bool Journal::AppendBatch(
-    const std::string& session_id,
-    const std::vector<std::pair<data::AttackRecord, std::uint64_t>>& records) {
-  if (fd_ < 0 || records.empty()) return fd_ >= 0;
-  std::ostringstream buf;
-  for (const auto& [record, seq] : records) {
-    buf << (session_id.empty() ? "-" : session_id) << '\t' << seq << '\t';
-    data::WriteAttackCsvRow(buf, record);
+bool Journal::AppendRows(std::string_view session_id,
+                         std::span<const JournalRow> rows) {
+  if (fd_ < 0 || rows.empty()) return fd_ >= 0;
+  const std::string_view sid = session_id.empty() ? "-" : session_id;
+  buf_.clear();
+  for (const JournalRow& r : rows) {
+    char seq[20];  // max u64 has 20 digits
+    char* const seq_end = std::to_chars(seq, seq + sizeof seq, r.seq).ptr;
+    buf_.append(sid);
+    buf_.push_back('\t');
+    buf_.append(seq, seq_end);
+    buf_.push_back('\t');
+    buf_.append(r.row);
+    buf_.push_back('\n');
   }
-  const std::string bytes = buf.str();
-  if (!WriteAll(bytes.data(), bytes.size())) {
+  if (!WriteAll(buf_.data(), buf_.size())) {
     ++append_failures_;
     // All-or-nothing: truncate back to the committed size so the file
     // stays record-aligned and replay order equals push order. The undo
@@ -101,12 +107,35 @@ bool Journal::AppendBatch(
     ::lseek(fd_, static_cast<off_t>(cur_size_), SEEK_SET);
     return false;
   }
-  cur_size_ += bytes.size();
-  bytes_written_ += bytes.size();
-  records_appended_ += records.size();
-  records_since_sync_ += records.size();
+  cur_size_ += buf_.size();
+  bytes_written_ += buf_.size();
+  records_appended_ += rows.size();
+  records_since_sync_ += rows.size();
   MaybePolicySync();
   return true;
+}
+
+bool Journal::AppendBatch(
+    const std::string& session_id,
+    const std::vector<std::pair<data::AttackRecord, std::uint64_t>>& records) {
+  std::ostringstream out;
+  std::vector<std::size_t> ends;
+  ends.reserve(records.size());
+  for (const auto& [record, seq] : records) {
+    data::WriteAttackCsvRow(out, record);
+    ends.push_back(static_cast<std::size_t>(out.tellp()));
+  }
+  const std::string text = out.str();
+  std::vector<JournalRow> rows;
+  rows.reserve(records.size());
+  std::size_t begin = 0;
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    // Each rendered row ends in '\n', which AppendRows adds back.
+    rows.push_back({std::string_view(text).substr(begin, ends[i] - 1 - begin),
+                    records[i].second});
+    begin = ends[i];
+  }
+  return AppendRows(session_id, rows);
 }
 
 void Journal::MaybePolicySync() {

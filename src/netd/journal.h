@@ -13,11 +13,16 @@
 //
 //   <session-id>\t<session-seq>\t<attack CSV row>
 //
-// `session-id` is `-` and `session-seq` is 0 for sessionless feeds (plain
-// FeedClient / nc). Version-1 journals (bare attack CSV with header) are
-// still readable so pre-existing archives replay.
+// `session-id` is `-` for sessionless feeds (plain FeedClient / nc); their
+// `session-seq` is the row's position on its connection, which no RESUME
+// reads. The row is the line exactly as the daemon received and parsed it
+// (framing terminator and one trailing '\r' stripped), not a re-render of
+// the parsed record, so replay parses the same bytes the daemon ACKed:
+// quoting, decimal digits and name spelling all survive. Version-1
+// journals (bare attack CSV with header) are still readable so
+// pre-existing archives replay.
 //
-// Batch atomicity: AppendBatch writes a whole poll-tick's records as one
+// Batch atomicity: AppendRows writes a whole poll-tick's rows as one
 // buffer and either all of it lands or none does - a failed or short
 // write is undone by truncating back to the pre-batch size, so the
 // journal is always record-aligned and its line order IS the engine push
@@ -39,6 +44,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -53,6 +59,13 @@ enum class FsyncPolicy : std::uint8_t { kAlways, kInterval, kOff };
 std::string_view FsyncPolicyName(FsyncPolicy policy);
 std::optional<FsyncPolicy> ParseFsyncPolicy(std::string_view text);
 
+// One accepted row for Journal::AppendRows: the CSV row as received (no
+// line terminator) and its session sequence number.
+struct JournalRow {
+  std::string_view row;
+  std::uint64_t seq = 0;
+};
+
 class Journal {
  public:
   // Opens (creating or truncating; appending when `append_existing` and
@@ -65,11 +78,18 @@ class Journal {
   Journal(const Journal&) = delete;
   Journal& operator=(const Journal&) = delete;
 
-  // Appends one batch of records, all-or-nothing: on any unrecoverable
-  // write error the file is truncated back to its pre-batch size and the
-  // call returns false (EINTR and short writes are retried/continued, not
-  // errors). `session_id` may be empty (journaled as `-`). `records` pairs
-  // each record with its session sequence number.
+  // Appends one batch of rows, all-or-nothing: on any unrecoverable write
+  // error the file is truncated back to its pre-batch size and the call
+  // returns false (EINTR and short writes are retried/continued, not
+  // errors). `session_id` may be empty (journaled as `-`). Each row is
+  // written verbatim as `<session-id>\t<seq>\t<row>\n`, so a row must not
+  // contain '\n' (framed lines never do).
+  bool AppendRows(std::string_view session_id,
+                  std::span<const JournalRow> rows);
+
+  // Record form of AppendRows: renders each record as an attack CSV row
+  // (data::WriteAttackCsvRow) and appends those. `records` pairs each
+  // record with its session sequence number.
   bool AppendBatch(
       const std::string& session_id,
       const std::vector<std::pair<data::AttackRecord, std::uint64_t>>&
@@ -91,6 +111,7 @@ class Journal {
   void MaybePolicySync();
 
   int fd_ = -1;
+  std::string buf_;  // one batch's bytes; reused so appends stop allocating
   FsyncPolicy policy_;
   std::uint64_t fsync_every_;
   std::uint64_t cur_size_ = 0;           // committed byte size of the file

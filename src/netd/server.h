@@ -84,7 +84,7 @@ struct NetdConfig {
   // checkpoints (0 = final drain checkpoint only); resume restores from
   // checkpoint_path when the file exists (a missing file starts fresh, so
   // a supervisor can always pass --resume). journal_path, when set,
-  // receives every accepted record as attack CSV in exact ingest order -
+  // receives every accepted row, as received, in exact ingest order -
   // the daemon's archival feed, and the reference a sequential replay must
   // match bit-for-bit.
   std::string checkpoint_path;
@@ -177,9 +177,10 @@ class IngestServer {
   void HandleIngestRead(Conn& conn);
   void HandleHttpRead(Conn& conn);
   void ProcessFrames(Conn& conn);
-  // Write-ahead commit of a tick's accepted records: journal append (all
-  // or nothing), then engine pushes, then the session table - all before
-  // the protocol output flushes, so no ACK ever outruns the journal.
+  // Write-ahead commit of a tick's accepted records: journal append of
+  // their rows as received (all or nothing), then engine pushes, then the
+  // session table - all before the protocol output flushes, so no ACK ever
+  // outruns the journal.
   void CommitPending(Conn& conn);
   void FlushOutput(Conn& conn);
   void SyncRejectCounters(Conn& conn);
@@ -210,6 +211,7 @@ class IngestServer {
   std::vector<std::unique_ptr<Conn>> conns_;
 
   std::unique_ptr<Journal> journal_;
+  std::vector<JournalRow> journal_rows_;  // CommitPending's reused scratch
   SessionTable sessions_;
   bool bound_ = false;
   bool running_ = false;

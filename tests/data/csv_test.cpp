@@ -138,6 +138,36 @@ TEST(AttackCsv, CityWithCommaSurvives) {
   EXPECT_EQ(back[0].city, "Washington, DC");
 }
 
+TEST(AttackCsv, TextFieldsNeedingQuotesRoundTrip) {
+  // cc, city and organization are all free text to the parser, so the
+  // writer must quote each of them whenever the parser would misread it.
+  for (const std::string text :
+       {"U,S", "U\"S", "\"US", "\"", "a,\"b\"", "\"\"x,"}) {
+    AttackRecord a = SampleAttack();
+    a.cc = text;
+    a.city = text;
+    a.organization = text;
+    std::ostringstream out;
+    WriteAttackCsvRow(out, a);
+    std::string row = out.str();
+    ASSERT_EQ(row.back(), '\n');
+    row.pop_back();
+
+    bool unterminated = true;
+    EXPECT_EQ(ParseCsvLine(row, &unterminated).size(), 14u) << row;
+    EXPECT_FALSE(unterminated) << row;
+    AttackRecord back;
+    IngestError err;
+    ASSERT_TRUE(TryParseAttackLine(row, &back, &err)) << row << ": "
+                                                      << err.detail;
+    EXPECT_EQ(back.cc, text) << row;
+    EXPECT_EQ(back.city, text) << row;
+    EXPECT_EQ(back.organization, text) << row;
+    EXPECT_EQ(back.ddos_id, a.ddos_id);
+    EXPECT_EQ(back.magnitude, a.magnitude);
+  }
+}
+
 TEST(AttackCsv, RejectsWrongFieldCount) {
   std::stringstream ss("header\n1,2,3\n");
   EXPECT_THROW(ReadAttacksCsv(ss), std::runtime_error);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 namespace ddos::net {
 namespace {
 
@@ -24,6 +26,12 @@ struct ParseCase {
   const char* text;
   bool valid;
 };
+
+// Prints the case by value so the generated test names stay the same from run
+// to run; gtest's default dump of the raw bytes would include the pointer.
+void PrintTo(const ParseCase& c, std::ostream* os) {
+  *os << (*c.text == '\0' ? "<empty>" : c.text) << (c.valid ? " valid" : " invalid");
+}
 
 class IPv4ParseTest : public ::testing::TestWithParam<ParseCase> {};
 

@@ -1,10 +1,13 @@
-// Journal contract: v2 round trip in exact order, per-session high-water
-// marks for RESUME, all-or-nothing batches under injected write failures,
-// torn-tail tolerance, v1 compatibility, and fsync policy cadence.
+// Journal contract: v2 round trip in exact order, rows written byte for
+// byte as given, per-session high-water marks for RESUME, all-or-nothing
+// batches under injected write failures (row and record forms), torn-tail
+// tolerance, v1 compatibility, and fsync policy cadence.
 #include "netd/journal.h"
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -28,6 +31,36 @@ Batch MakeBatch(std::size_t offset, std::size_t count,
     batch.emplace_back(attacks[offset + i], first_seq + i);
   }
   return batch;
+}
+
+// Rows of attacks [offset, offset + count) as the daemon would hand them
+// to AppendRows: CSV text without the line terminator. The strings own the
+// bytes the JournalRow views point into.
+struct RowBatch {
+  std::vector<std::string> text;
+  std::vector<JournalRow> rows;
+};
+
+RowBatch MakeRows(std::size_t offset, std::size_t count,
+                  std::uint64_t first_seq) {
+  const auto& attacks = ::ddos::testing::SmallDataset().attacks();
+  RowBatch batch;
+  for (std::size_t i = 0; i < count; ++i) {
+    std::ostringstream out;
+    data::WriteAttackCsvRow(out, attacks[offset + i]);
+    std::string row = out.str();
+    row.pop_back();  // the '\n'
+    batch.text.push_back(std::move(row));
+  }
+  for (std::size_t i = 0; i < count; ++i) {
+    batch.rows.push_back({batch.text[i], first_seq + i});
+  }
+  return batch;
+}
+
+std::string FileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
 }
 
 std::string TempPath(const std::string& name) {
@@ -66,6 +99,40 @@ TEST(Journal, RoundTripPreservesOrderSessionsAndSeqs) {
   ASSERT_EQ(contents.session_high.size(), 2u);
   EXPECT_EQ(contents.session_high.at("alpha"), 5u);
   EXPECT_EQ(contents.session_high.at("beta"), 4u);
+  std::remove(path.c_str());
+}
+
+TEST(Journal, AppendRowsWritesEachRowVerbatim) {
+  const std::string path = TempPath("journal_rows.csv");
+  // Rows a record re-render could not reproduce: spelling, extra decimal
+  // digits and quoting are kept exactly as given.
+  const std::vector<std::string> text = {
+      "1,2,DIRTJUMPER,HTTP,10.0.0.1,2012-09-01 10:00:00,2012-09-01 "
+      "11:00:00,65001,\"U,S\",Moscow,55.7558260123,37.6172999871,Org,5",
+      "3,4,pandora,udp,10.0.0.2,2012-09-01 10:00:00,2012-09-01 "
+      "10:30:00,65002,\"\"\"RU\",\"a \"\"b\"\"\",1.5,2.25,\"x,y\",7"};
+  {
+    Journal journal(path, /*append_existing=*/false, FsyncPolicy::kOff, 0);
+    const std::vector<JournalRow> first = {{text[0], 17}};
+    const std::vector<JournalRow> second = {{text[1], 0}, {text[0], 18}};
+    ASSERT_TRUE(journal.AppendRows("alpha", first));
+    ASSERT_TRUE(journal.AppendRows("", second));  // sessionless: `-`
+    EXPECT_EQ(journal.records_appended(), 3u);
+  }
+  EXPECT_EQ(FileBytes(path), "#ddoscoped-journal v2\n"
+                             "alpha\t17\t" + text[0] + "\n"
+                             "-\t0\t" + text[1] + "\n"
+                             "-\t18\t" + text[0] + "\n");
+
+  const JournalContents contents = ReadJournal(path);
+  EXPECT_FALSE(contents.torn_tail);
+  ASSERT_EQ(contents.entries.size(), 3u);
+  EXPECT_EQ(contents.entries[0].record.cc, "U,S");
+  EXPECT_EQ(contents.entries[0].record.location.lat_deg, 55.7558260123);
+  EXPECT_EQ(contents.entries[1].record.cc, "\"RU");
+  EXPECT_EQ(contents.entries[1].record.city, "a \"b\"");
+  EXPECT_EQ(contents.entries[1].session, "");
+  EXPECT_EQ(contents.session_high.at("alpha"), 17u);
   std::remove(path.c_str());
 }
 
@@ -123,13 +190,28 @@ TEST(Journal, FailedBatchIsInvisibleAllOrNothing) {
   }
   EXPECT_EQ(journal.append_failures(), 1u);
   EXPECT_EQ(journal.records_appended(), 3u);
+  const std::string committed = FileBytes(path);
+
+  {
+    // The same undo through the row form: a torn row batch vanishes.
+    const RowBatch batch = MakeRows(3, 3, 4);
+    EnospcAfterHooks hooks(40);
+    common::IoHooks* prev = common::SetIoHooks(&hooks);
+    EXPECT_FALSE(journal.AppendRows("s", batch.rows));
+    common::SetIoHooks(prev);
+  }
+  EXPECT_EQ(journal.append_failures(), 2u);
+  EXPECT_EQ(journal.records_appended(), 3u);
+  EXPECT_EQ(FileBytes(path), committed);
 
   // The journal stays parseable and record-aligned; a retried batch lands.
   ASSERT_TRUE(journal.AppendBatch("s", MakeBatch(3, 3, 4)));
+  const RowBatch retry = MakeRows(6, 2, 7);
+  ASSERT_TRUE(journal.AppendRows("s", retry.rows));
   const JournalContents contents = ReadJournal(path);
   EXPECT_FALSE(contents.torn_tail);
-  ASSERT_EQ(contents.entries.size(), 6u);
-  EXPECT_EQ(contents.session_high.at("s"), 6u);
+  ASSERT_EQ(contents.entries.size(), 8u);
+  EXPECT_EQ(contents.session_high.at("s"), 8u);
   std::remove(path.c_str());
 }
 
@@ -204,6 +286,29 @@ TEST(Journal, FsyncPolicyCadence) {
     std::remove(path.c_str());
   }
   {
+    // The row form counts records, not batches, the same way.
+    const std::string path = TempPath("journal_fsync_rows.csv");
+    Journal journal(path, false, FsyncPolicy::kInterval, 4);
+    const RowBatch a = MakeRows(0, 3, 1);
+    const RowBatch b = MakeRows(3, 3, 4);
+    journal.AppendRows("s", a.rows);
+    EXPECT_EQ(journal.fsyncs(), 0u);  // 3 < 4: not yet
+    journal.AppendRows("s", b.rows);
+    EXPECT_EQ(journal.fsyncs(), 1u);  // 6 >= 4: due
+    journal.AppendRows("s", a.rows);
+    EXPECT_EQ(journal.fsyncs(), 1u);  // counter restarted: 3 < 4
+    std::remove(path.c_str());
+  }
+  {
+    const std::string path = TempPath("journal_fsync_always_rows.csv");
+    Journal journal(path, false, FsyncPolicy::kAlways, 0);
+    const RowBatch a = MakeRows(0, 2, 1);
+    journal.AppendRows("s", a.rows);
+    journal.AppendRows("s", a.rows);
+    EXPECT_EQ(journal.fsyncs(), 2u);  // one per committed batch
+    std::remove(path.c_str());
+  }
+  {
     const std::string path = TempPath("journal_fsync_off.csv");
     Journal journal(path, false, FsyncPolicy::kOff, 0);
     journal.AppendBatch("s", MakeBatch(0, 6, 1));
@@ -214,7 +319,7 @@ TEST(Journal, FsyncPolicyCadence) {
   }
 
   common::SetIoHooks(prev);
-  EXPECT_GE(hooks.count, 4);
+  EXPECT_GE(hooks.count, 7);
 }
 
 TEST(Journal, PolicyNamesParseAndRoundTrip) {
