@@ -245,42 +245,55 @@ void BM_AttackCsvStreamRead(benchmark::State& state) {
 }
 BENCHMARK(BM_AttackCsvStreamRead);
 
-// The allocating vs scratch-reusing line splitters, for the delta the
-// reader's hot loop gains by not reallocating per record.
-void BM_ParseCsvLineAlloc(benchmark::State& state) {
-  const std::string line =
-      "123456,77,Infrastructure,203.0.113.9,2012-06-01 10:20:30,"
+// Attack rows of three shapes: unquoted (every row of the benchmark feed),
+// a quoted field with no escapes (a view between the quotes), and a field
+// with a doubled quote (the one shape the tokenizer unescapes).
+const std::string& MicroRow(std::int64_t shape) {
+  static const std::string rows[] = {
+      "123456,77,dirtjumper,HTTP,203.0.113.9,2012-06-01 10:20:30,"
+      "2012-06-01 11:20:30,64500,US,Kansas City,39.09,-94.57,"
+      "US-ResidentialISP-266,1500",
+      "123456,77,dirtjumper,HTTP,203.0.113.9,2012-06-01 10:20:30,"
       "2012-06-01 11:20:30,64500,US,\"Kansas City\",39.09,-94.57,"
-      "dirtjumper,ExampleOrg,1500";
+      "US-ResidentialISP-266,1500",
+      "123456,77,dirtjumper,HTTP,203.0.113.9,2012-06-01 10:20:30,"
+      "2012-06-01 11:20:30,64500,US,\"Kansas \"\"KC\"\" City\",39.09,-94.57,"
+      "US-ResidentialISP-266,1500",
+  };
+  return rows[shape];
+}
+
+void RowShapes(benchmark::internal::Benchmark* b) {
+  b->ArgName("shape")->Arg(0)->Arg(1)->Arg(2);
+}
+
+// The copying splitter the small readers use, against the view tokenizer
+// underneath it (and underneath the attack-row parse and pre-scan).
+void BM_ParseCsvLineAlloc(benchmark::State& state) {
+  const std::string& line = MicroRow(state.range(0));
   for (auto _ : state) {
     benchmark::DoNotOptimize(data::ParseCsvLine(line));
   }
+  state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_ParseCsvLineAlloc);
+BENCHMARK(BM_ParseCsvLineAlloc)->Apply(RowShapes);
 
-void BM_ParseCsvLineReuse(benchmark::State& state) {
-  const std::string line =
-      "123456,77,Infrastructure,203.0.113.9,2012-06-01 10:20:30,"
-      "2012-06-01 11:20:30,64500,US,\"Kansas City\",39.09,-94.57,"
-      "dirtjumper,ExampleOrg,1500";
-  std::vector<std::string> fields;
-  bool unterminated = false;
+void BM_CsvTokenizerSplit(benchmark::State& state) {
+  const std::string& line = MicroRow(state.range(0));
+  data::CsvTokenizer tokenizer;
   for (auto _ : state) {
-    data::ParseCsvLineInto(line, &fields, &unterminated);
-    benchmark::DoNotOptimize(fields);
+    benchmark::DoNotOptimize(tokenizer.Split(line).size());
   }
+  state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_ParseCsvLineReuse);
+BENCHMARK(BM_CsvTokenizerSplit)->Apply(RowShapes);
 
-// The sharded router's per-line cost: one byte-scan extracting only the
-// routing fields (ids, target ip, both timestamps). The gap between this
-// and BM_TryParseAttackLineSpan is the work PushLine moves off the serial
+// The sharded router's per-line cost: the tokenizer plus validation of the
+// routing fields only (ids, target ip, both timestamps). The gap between
+// this and BM_TryParseAttackLine is the work PushLine moves off the serial
 // router and into the worker shards.
 void BM_AttackLinePreScan(benchmark::State& state) {
-  const std::string line =
-      "123456,77,dirtjumper,HTTP,203.0.113.9,2012-06-01 10:20:30,"
-      "2012-06-01 11:20:30,64500,US,\"Kansas City\",39.09,-94.57,"
-      "ExampleOrg,1500";
+  const std::string& line = MicroRow(state.range(0));
   data::AttackLinePreScanner prescan;
   data::AttackLinePreScan scan;
   data::IngestError err;
@@ -289,41 +302,23 @@ void BM_AttackLinePreScan(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_AttackLinePreScan);
+BENCHMARK(BM_AttackLinePreScan)->Apply(RowShapes);
 
-// The full 14-column parse a worker runs per span, against the legacy
-// split-then-validate pair it replaced.
-void BM_TryParseAttackLineSpan(benchmark::State& state) {
-  const std::string line =
-      "123456,77,dirtjumper,HTTP,203.0.113.9,2012-06-01 10:20:30,"
-      "2012-06-01 11:20:30,64500,US,\"Kansas City\",39.09,-94.57,"
-      "ExampleOrg,1500";
+// The full 14-column parse a worker runs per span, into a reused record.
+void BM_TryParseAttackLine(benchmark::State& state) {
+  const std::string& line = MicroRow(state.range(0));
   data::AttackRecord record;
   data::IngestError err;
+  if (!data::TryParseAttackLine(line, &record, &err)) {
+    state.SkipWithError(err.detail.c_str());
+    return;
+  }
   for (auto _ : state) {
     benchmark::DoNotOptimize(data::TryParseAttackLine(line, &record, &err));
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_TryParseAttackLineSpan);
-
-void BM_TryParseAttackLineLegacy(benchmark::State& state) {
-  const std::string line =
-      "123456,77,dirtjumper,HTTP,203.0.113.9,2012-06-01 10:20:30,"
-      "2012-06-01 11:20:30,64500,US,\"Kansas City\",39.09,-94.57,"
-      "ExampleOrg,1500";
-  std::vector<std::string> fields;
-  bool unterminated = false;
-  data::AttackRecord record;
-  data::IngestError err;
-  for (auto _ : state) {
-    data::ParseCsvLineInto(line, &fields, &unterminated);
-    benchmark::DoNotOptimize(
-        data::TryParseAttackFields(fields, &record, &err));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_TryParseAttackLineLegacy);
+BENCHMARK(BM_TryParseAttackLine)->Apply(RowShapes);
 
 // Timestamp validation underneath both the pre-scan and the full parse -
 // two calls per row on the ingest hot path.

@@ -83,6 +83,18 @@ std::string_view StripLeadingPlus(std::string_view s, bool* ok) {
 }  // namespace
 
 std::optional<std::int64_t> ParseInt64(std::string_view text) {
+  // Fast path: 1-18 plain digits (every id, ASN and octet in the feed)
+  // cannot overflow and need no trimming or sign handling.
+  if (!text.empty() && text.size() <= 18) {
+    std::int64_t v = 0;
+    std::size_t i = 0;
+    for (; i < text.size(); ++i) {
+      const unsigned d = static_cast<unsigned char>(text[i]) - '0';
+      if (d > 9) break;
+      v = v * 10 + d;
+    }
+    if (i == text.size()) return v;
+  }
   bool ok = false;
   const std::string_view s = StripLeadingPlus(Trim(text), &ok);
   if (!ok || s.empty()) return std::nullopt;

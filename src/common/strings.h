@@ -2,7 +2,8 @@
 //
 // libstdc++ 12 does not ship <format>, so `StrFormat` wraps vsnprintf with a
 // std::string return. Everything here is allocation-conscious but favors
-// clarity; none of these run on hot paths.
+// clarity. ParseInt64 and EqualsIgnoreCase sit on the per-row CSV parse, so
+// they have fast paths for the common shapes and allocate nothing.
 #ifndef DDOSCOPE_COMMON_STRINGS_H_
 #define DDOSCOPE_COMMON_STRINGS_H_
 
@@ -31,6 +32,18 @@ std::string Join(const std::vector<std::string>& parts, std::string_view sep);
 
 // ASCII lowercase copy.
 std::string ToLower(std::string_view text);
+
+// True when a and b are equal after folding ASCII A-Z to a-z; every other
+// byte (non-ASCII included) must match exactly, as ToLower(a) == ToLower(b).
+inline bool EqualsIgnoreCase(std::string_view a, std::string_view b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const char x = a[i] >= 'A' && a[i] <= 'Z' ? a[i] - 'A' + 'a' : a[i];
+    const char y = b[i] >= 'A' && b[i] <= 'Z' ? b[i] - 'A' + 'a' : b[i];
+    if (x != y) return false;
+  }
+  return true;
+}
 
 // Strict integer / double parsing of the whole (trimmed) field.
 std::optional<std::int64_t> ParseInt64(std::string_view text);

@@ -92,9 +92,51 @@ bool ScanInt(const char*& p, const char* end, std::int64_t* out) {
 
 constexpr std::int64_t kMaxCalendarField = 1000000;  // fits int comfortably
 
+// Reads `width` digits at text[pos]; false if any byte is not a digit.
+bool FixedDigits(std::string_view text, std::size_t pos, std::size_t width,
+                 int* out) {
+  int v = 0;
+  for (std::size_t i = pos; i < pos + width; ++i) {
+    const unsigned d = static_cast<unsigned char>(text[i]) - '0';
+    if (d > 9) return false;
+    v = v * 10 + static_cast<int>(d);
+  }
+  *out = v;
+  return true;
+}
+
+// The exact "YYYY-MM-DD HH:MM:SS" shape every writer in ddoscope emits.
+// Returns false for any other shape (not for an invalid value), which the
+// general scanner then reads.
+bool TryParseFixed(std::string_view text, std::optional<TimePoint>* out) {
+  if (text.size() != 19 || text[4] != '-' || text[7] != '-' ||
+      text[10] != ' ' || text[13] != ':' || text[16] != ':') {
+    return false;
+  }
+  CivilTime ct;
+  if (!FixedDigits(text, 0, 4, &ct.date.year) ||
+      !FixedDigits(text, 5, 2, &ct.date.month) ||
+      !FixedDigits(text, 8, 2, &ct.date.day) ||
+      !FixedDigits(text, 11, 2, &ct.hour) ||
+      !FixedDigits(text, 14, 2, &ct.minute) ||
+      !FixedDigits(text, 17, 2, &ct.second)) {
+    return false;
+  }
+  if (!IsValidDate(ct.date) || ct.hour > 23 || ct.minute > 59 ||
+      ct.second > 59) {
+    *out = std::nullopt;
+  } else {
+    *out = TimePoint::FromCivil(ct);
+  }
+  return true;
+}
+
 }  // namespace
 
 std::optional<TimePoint> TimePoint::TryParse(std::string_view text) noexcept {
+  if (std::optional<TimePoint> fixed; TryParseFixed(text, &fixed)) {
+    return fixed;
+  }
   const char* p = text.data();
   const char* const end = p + text.size();
   std::int64_t year = 0, month = 0, day = 0;

@@ -1,10 +1,13 @@
 #include "data/csv.h"
 
 #include <cmath>
+#include <cstring>
 #include <fstream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "common/strings.h"
 
@@ -23,91 +26,184 @@ std::int64_t FieldInt(const std::vector<std::string>& fields, std::size_t idx,
   return *v;
 }
 
-// Timestamps far outside the plausible monitoring era are rejected: the
-// schema carries wall-clock seconds, so a mangled year silently skews every
-// interval/duration statistic downstream if allowed through.
-const TimePoint& kMinTimestamp = kMinAttackTimestamp;
-const TimePoint& kMaxTimestamp = kMaxAttackTimestamp;
-
 bool ParseError(IngestError* err, IngestErrorKind kind, std::string detail) {
   err->kind = kind;
   err->detail = std::move(detail);
   return false;
 }
 
+// "<what> '<field>'", built by appending so any byte of the field (a NUL
+// included) lands in the detail verbatim.
+bool BadValue(IngestError* err, std::string_view what, std::string_view field) {
+  std::string detail(what);
+  detail.append(" '").append(field).append("'");
+  return ParseError(err, IngestErrorKind::kUnparseableNumber,
+                    std::move(detail));
+}
+
+bool CheckAttackFieldCount(std::size_t count, IngestError* err) {
+  if (count == 14) return true;
+  return ParseError(err, IngestErrorKind::kBadFieldCount,
+                    StrFormat("expected 14 fields, got %zu", count));
+}
+
 }  // namespace
 
-// Parses and validates one attack row. Returns false with *err filled on
-// any malformed field; never throws.
-bool TryParseAttackFields(const std::vector<std::string>& f, AttackRecord* out,
-                          IngestError* err) {
-  if (f.size() != 14) {
-    return ParseError(err, IngestErrorKind::kBadFieldCount,
-                      StrFormat("expected 14 fields, got %zu", f.size()));
+std::span<const std::string_view> CsvTokenizer::Split(std::string_view line) {
+  fields_.clear();
+  unterminated_ = false;
+  char* out = nullptr;  // unescape cursor into scratch_, set on first use
+  std::size_t pos = 0;
+  while (true) {
+    if (pos == line.size()) {  // "" or a trailing ','
+      fields_.emplace_back();
+      break;
+    }
+    if (line[pos] != '"') {  // unquoted: up to the next ','
+      const char* const from = line.data() + pos;
+      const auto* comma = static_cast<const char*>(
+          std::memchr(from, ',', line.size() - pos));
+      const std::size_t len =
+          comma != nullptr ? static_cast<std::size_t>(comma - from)
+                           : line.size() - pos;
+      fields_.emplace_back(from, len);
+      if (comma == nullptr) break;
+      pos += len + 1;
+      continue;
+    }
+    const std::size_t close = line.find('"', pos + 1);
+    if (close == std::string_view::npos) {  // swallows the rest of the line
+      fields_.push_back(line.substr(pos + 1));
+      unterminated_ = true;
+      break;
+    }
+    if (close + 1 == line.size() || line[close + 1] == ',') {
+      fields_.push_back(line.substr(pos + 1, close - pos - 1));
+      if (close + 1 == line.size()) break;
+      pos = close + 2;
+      continue;
+    }
+    // A doubled quote or text after the closing quote. Unescaped output
+    // never outgrows its input, so sizing scratch_ to the line once keeps
+    // every earlier view into it valid.
+    if (out == nullptr) {
+      if (scratch_.size() < line.size()) scratch_.resize(line.size());
+      out = scratch_.data();
+    }
+    char* const field = out;
+    bool in_quotes = true;
+    for (++pos; pos < line.size() && (in_quotes || line[pos] != ','); ++pos) {
+      if (!in_quotes || line[pos] != '"') {
+        *out++ = line[pos];
+      } else if (pos + 1 < line.size() && line[pos + 1] == '"') {
+        *out++ = line[pos++];
+      } else {
+        in_quotes = false;
+      }
+    }
+    fields_.emplace_back(field, static_cast<std::size_t>(out - field));
+    if (pos == line.size()) {
+      unterminated_ = in_quotes;
+      break;
+    }
+    ++pos;  // the ',' ending this field
   }
-  AttackRecord a;
-  const auto ddos_id = ParseInt64(f[0]);
-  if (!ddos_id || *ddos_id < 0) {
-    return ParseError(err, IngestErrorKind::kUnparseableNumber,
-                      "bad ddos_id '" + f[0] + "'");
+  return fields_;
+}
+
+bool SplitAttackRow(std::string_view line, CsvTokenizer* tokenizer,
+                    IngestError* err) {
+  const auto fields = tokenizer->Split(line);
+  if (tokenizer->unterminated()) {
+    return ParseError(err, IngestErrorKind::kUnterminatedQuote,
+                      "line ended inside a quoted field");
   }
-  a.ddos_id = static_cast<std::uint64_t>(*ddos_id);
-  const auto botnet_id = ParseInt64(f[1]);
-  if (!botnet_id) {
-    return ParseError(err, IngestErrorKind::kUnparseableNumber,
-                      "bad botnet_id '" + f[1] + "'");
+  return CheckAttackFieldCount(fields.size(), err);
+}
+
+bool ParseAttackId(std::string_view field, std::uint64_t* out,
+                   IngestError* err) {
+  const auto v = ParseInt64(field);
+  if (!v || *v < 0) return BadValue(err, "bad ddos_id", field);
+  *out = static_cast<std::uint64_t>(*v);
+  return true;
+}
+
+bool ParseAttackU32(std::string_view column, std::string_view field,
+                    std::uint32_t* out, IngestError* err) {
+  const auto v = ParseInt64(field);
+  if (!v || *v < 0 || *v > std::numeric_limits<std::uint32_t>::max()) {
+    return BadValue(err, "bad " + std::string(column), field);
   }
-  a.botnet_id = static_cast<std::uint32_t>(*botnet_id);
-  const auto family = ParseFamily(f[2]);
-  if (!family) {
-    return ParseError(err, IngestErrorKind::kUnparseableNumber,
-                      "unknown family '" + f[2] + "'");
-  }
-  a.family = *family;
-  const auto protocol = ParseProtocol(f[3]);
-  if (!protocol) {
-    return ParseError(err, IngestErrorKind::kUnparseableNumber,
-                      "unknown protocol '" + f[3] + "'");
-  }
-  a.category = *protocol;
-  const auto ip = net::IPv4Address::Parse(f[4]);
-  if (!ip) {
-    return ParseError(err, IngestErrorKind::kUnparseableNumber,
-                      "bad target_ip '" + f[4] + "'");
-  }
-  a.target_ip = *ip;
-  for (const std::size_t idx : {std::size_t{5}, std::size_t{6}}) {
-    const auto t = TimePoint::TryParse(f[idx]);
+  *out = static_cast<std::uint32_t>(*v);
+  return true;
+}
+
+bool ParseAttackIp(std::string_view field, net::IPv4Address* out,
+                   IngestError* err) {
+  const auto ip = net::IPv4Address::Parse(field);
+  if (!ip) return BadValue(err, "bad target_ip", field);
+  *out = *ip;
+  return true;
+}
+
+// Timestamps far outside the plausible monitoring era are rejected: the
+// schema carries wall-clock seconds, so a mangled year silently skews every
+// interval/duration statistic downstream if allowed through.
+const TimePoint kMinAttackTimestamp(0);  // 1970
+const TimePoint kMaxAttackTimestamp = TimePoint::FromDate(2100, 1, 1);
+
+bool ParseAttackTimes(std::string_view start, std::string_view end,
+                      TimePoint* start_out, TimePoint* end_out,
+                      IngestError* err) {
+  for (const auto& [field, out] : {std::pair{start, start_out},
+                                   std::pair{end, end_out}}) {
+    const auto t = TimePoint::TryParse(field);
     if (!t) {
       return ParseError(err, IngestErrorKind::kOutOfRangeTimestamp,
-                        "malformed timestamp '" + f[idx] + "'");
+                        "malformed timestamp '" + std::string(field) + "'");
     }
-    if (*t < kMinTimestamp || *t > kMaxTimestamp) {
+    if (*t < kMinAttackTimestamp || *t > kMaxAttackTimestamp) {
       return ParseError(err, IngestErrorKind::kOutOfRangeTimestamp,
-                        "timestamp '" + f[idx] + "' outside 1970..2100");
+                        "timestamp '" + std::string(field) +
+                            "' outside 1970..2100");
     }
-    (idx == 5 ? a.start_time : a.end_time) = *t;
+    *out = *t;
   }
-  if (a.end_time < a.start_time) {
+  if (*end_out < *start_out) {
     return ParseError(
         err, IngestErrorKind::kNegativeDuration,
         StrFormat("end_time precedes timestamp by %lld s",
-                  static_cast<long long>(a.start_time - a.end_time)));
+                  static_cast<long long>(*start_out - *end_out)));
   }
-  const auto asn = ParseInt64(f[7]);
-  if (!asn) {
-    return ParseError(err, IngestErrorKind::kUnparseableNumber,
-                      "bad asn '" + f[7] + "'");
+  return true;
+}
+
+bool TryParseAttackFields(std::span<const std::string_view> f,
+                          AttackRecord* out, IngestError* err) {
+  if (!CheckAttackFieldCount(f.size(), err) ||
+      !ParseAttackId(f[0], &out->ddos_id, err) ||
+      !ParseAttackU32("botnet_id", f[1], &out->botnet_id, err)) {
+    return false;
   }
-  a.asn = net::Asn(static_cast<std::uint32_t>(*asn));
-  a.cc = f[8];
-  a.city = f[9];
+  const auto family = ParseFamily(f[2]);
+  if (!family) return BadValue(err, "unknown family", f[2]);
+  out->family = *family;
+  const auto protocol = ParseProtocol(f[3]);
+  if (!protocol) return BadValue(err, "unknown protocol", f[3]);
+  out->category = *protocol;
+  std::uint32_t asn = 0;
+  if (!ParseAttackIp(f[4], &out->target_ip, err) ||
+      !ParseAttackTimes(f[5], f[6], &out->start_time, &out->end_time, err) ||
+      !ParseAttackU32("asn", f[7], &asn, err)) {
+    return false;
+  }
+  out->asn = net::Asn(asn);
+  out->cc.assign(f[8]);
+  out->city.assign(f[9]);
   const auto lat = ParseDouble(f[10]);
   const auto lon = ParseDouble(f[11]);
-  if (!lat || !lon) {
-    return ParseError(err, IngestErrorKind::kUnparseableNumber,
-                      "bad coordinate '" + (lat ? f[11] : f[10]) + "'");
-  }
+  if (!lat || !lon) return BadValue(err, "bad coordinate", lat ? f[11] : f[10]);
   // NaN/inf coordinates would flow into geodesic math as NaN distances;
   // reject them here with the rest of the numeric validation.
   if (!std::isfinite(*lat) || !std::isfinite(*lon) || *lat < -90.0 ||
@@ -115,33 +211,19 @@ bool TryParseAttackFields(const std::vector<std::string>& f, AttackRecord* out,
     return ParseError(err, IngestErrorKind::kUnparseableNumber,
                       "coordinate out of range or non-finite");
   }
-  a.location.lat_deg = *lat;
-  a.location.lon_deg = *lon;
-  a.organization = f[12];
-  const auto magnitude = ParseInt64(f[13]);
-  if (!magnitude || *magnitude < 0) {
-    return ParseError(err, IngestErrorKind::kUnparseableNumber,
-                      "bad magnitude '" + f[13] + "'");
-  }
-  a.magnitude = static_cast<std::uint32_t>(*magnitude);
-  *out = std::move(a);
-  return true;
+  out->location.lat_deg = *lat;
+  out->location.lon_deg = *lon;
+  out->organization.assign(f[12]);
+  return ParseAttackU32("magnitude", f[13], &out->magnitude, err);
 }
 
 bool TryParseAttackLine(std::string_view line, AttackRecord* out,
                         IngestError* err) {
-  // Thread-local scratch: the netd ingest path calls this once per received
-  // line, and reusing the field buffers keeps the steady state free of heap
-  // allocations, same as AttackCsvReader::Next.
-  thread_local std::vector<std::string> fields;
-  bool unterminated = false;
-  ParseCsvLineInto(line, &fields, &unterminated);
-  if (unterminated) {
-    err->kind = IngestErrorKind::kUnterminatedQuote;
-    err->detail = "line ended inside a quoted field";
-    return false;
-  }
-  return TryParseAttackFields(fields, out, err);
+  // Thread-local so the netd ingest path, which calls this once per
+  // received line, parses without allocating, same as AttackCsvReader.
+  thread_local CsvTokenizer tokenizer;
+  return SplitAttackRow(line, &tokenizer, err) &&
+         TryParseAttackFields(tokenizer.fields(), out, err);
 }
 
 bool ReadCsvLine(std::istream& in, std::string* line) {
@@ -158,61 +240,22 @@ bool ReadCsvLine(std::istream& in, std::string* line, bool* saw_newline) {
   return true;
 }
 
-std::vector<std::string> ParseCsvLine(std::string_view line) {
-  bool unterminated;
-  return ParseCsvLine(line, &unterminated);
-}
-
 std::vector<std::string> ParseCsvLine(std::string_view line,
                                       bool* unterminated_quote) {
   std::vector<std::string> fields;
-  ParseCsvLineInto(line, &fields, unterminated_quote);
+  bool unterminated = false;
+  ParseCsvLineInto(line, &fields, &unterminated);
+  if (unterminated_quote != nullptr) *unterminated_quote = unterminated;
   return fields;
 }
 
 void ParseCsvLineInto(std::string_view line, std::vector<std::string>* fields,
                       bool* unterminated_quote) {
-  // Appends into the caller's strings in place, so a reader looping over a
-  // fixed-shape file stops allocating once every field has seen its widest
-  // value.
-  std::size_t count = 0;
-  const auto next_field = [fields, &count]() -> std::string& {
-    if (count == fields->size()) fields->emplace_back();
-    std::string& f = (*fields)[count++];
-    f.clear();
-    return f;
-  };
-  std::string* current = &next_field();
-  bool in_quotes = false;
-  bool at_field_start = true;
-  for (std::size_t i = 0; i < line.size(); ++i) {
-    const char c = line[i];
-    if (in_quotes) {
-      if (c == '"') {
-        if (i + 1 < line.size() && line[i + 1] == '"') {
-          current->push_back('"');
-          ++i;
-        } else {
-          in_quotes = false;
-        }
-      } else {
-        current->push_back(c);
-      }
-    } else if (c == '"' && at_field_start) {
-      // Only a quote at the start of a field opens quoting; an interior
-      // quote (`a"b`) is data, matching the common lenient reading.
-      in_quotes = true;
-      at_field_start = false;
-    } else if (c == ',') {
-      current = &next_field();
-      at_field_start = true;
-    } else {
-      current->push_back(c);
-      at_field_start = false;
-    }
-  }
-  fields->resize(count);
-  *unterminated_quote = in_quotes;
+  thread_local CsvTokenizer tokenizer;
+  const auto views = tokenizer.Split(line);
+  fields->resize(views.size());
+  for (std::size_t i = 0; i < views.size(); ++i) (*fields)[i].assign(views[i]);
+  *unterminated_quote = tokenizer.unterminated();
 }
 
 std::string CsvEscape(const std::string& field) {
@@ -291,9 +334,9 @@ void AttackCsvReader::ResolveMetrics() {
 }
 
 bool AttackCsvReader::Next(AttackRecord* out) {
-  // line_ and fields_ are members so their buffers survive across records:
-  // steady state parses a row with zero heap allocations beyond the
-  // record's own strings.
+  // line_ and tokenizer_ are members so their buffers survive across
+  // records: steady state parses a row with zero heap allocations, and the
+  // record's strings reuse their capacity.
   std::string& line = line_;
   bool saw_newline;
   while (ReadCsvLine(*in_, &line, &saw_newline)) {
@@ -312,14 +355,8 @@ bool AttackCsvReader::Next(AttackRecord* out) {
       err.detail = StrFormat("line of %zu bytes exceeds the %zu-byte cap",
                              line.size(), options_.max_line_bytes);
     } else {
-      bool unterminated = false;
-      ParseCsvLineInto(line, &fields_, &unterminated);
-      if (unterminated) {
-        err.kind = IngestErrorKind::kUnterminatedQuote;
-        err.detail = "line ended inside a quoted field";
-      } else {
-        ok = TryParseAttackFields(fields_, out, &err);
-      }
+      ok = SplitAttackRow(line, &tokenizer_, &err) &&
+           TryParseAttackFields(tokenizer_.fields(), out, &err);
       // Any failure on a final line that the stream cut short is reported
       // as the torn write it is, not as whatever field the cut landed in.
       if (!ok && !saw_newline) {

@@ -9,9 +9,11 @@
 // Quoting: fields containing ',', '"' or newlines are double-quoted with
 // inner quotes doubled (RFC 4180). A '"' in the interior of an unquoted
 // field is kept literally (the common lenient reading); only a quote at the
-// start of a field opens quoting. Line endings may be LF or CRLF; a
-// trailing '\r' is stripped before parsing so files written on Windows
-// parse identically.
+// start of a field opens quoting, and text after a closing quote is kept
+// up to the next ','. Line endings may be LF or CRLF; a trailing '\r' is
+// stripped before parsing so files written on Windows parse identically.
+// One tokenizer (CsvTokenizer) implements these rules; every CSV reader
+// and the sharded router's pre-scan (data/linescan.h) split through it.
 //
 // Error handling: every malformed row is diagnosed with a typed
 // IngestErrorKind (see data/ingest_error.h). Under the default
@@ -25,6 +27,7 @@
 #include <array>
 #include <fstream>
 #include <iosfwd>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_set>
@@ -36,42 +39,72 @@
 
 namespace ddos::data {
 
-// Splits one CSV line honoring RFC-4180 quoting. The two-argument form
-// reports whether the line ended inside an open quoted field (the line is
-// still split on a best-effort basis); the one-argument form is lenient.
-std::vector<std::string> ParseCsvLine(std::string_view line);
+// Splits CSV lines into field views in one pass, without copying: an
+// unquoted field, and a quoted one with no doubled quote, is a view into
+// the line itself. Only a quoted field holding `""`, or text after its
+// closing quote, is unescaped, into scratch the tokenizer reuses. A line
+// that ends inside a quoted field is still split (that field runs to the
+// end of the line) and sets unterminated(). Reusable and allocation-free in
+// steady state; not thread-safe.
+class CsvTokenizer {
+ public:
+  // Splits `line`. The views stay valid while `line`'s bytes do and until
+  // the next Split.
+  std::span<const std::string_view> Split(std::string_view line);
+  std::span<const std::string_view> fields() const { return fields_; }
+  bool unterminated() const { return unterminated_; }
+
+ private:
+  std::vector<std::string_view> fields_;
+  std::string scratch_;
+  bool unterminated_ = false;
+};
+
+// Copying forms of CsvTokenizer::Split for the small readers and tests,
+// reporting unterminated() through unterminated_quote when it is non-null.
+// ParseCsvLineInto resizes *fields to the field count and reuses each
+// element's capacity.
 std::vector<std::string> ParseCsvLine(std::string_view line,
-                                      bool* unterminated_quote);
-// Allocation-reusing form: splits into *fields, reusing each element's
-// capacity across calls (the hot path of AttackCsvReader, which parses the
-// same 14-column shape millions of times). fields is resized to the field
-// count; contents beyond it are discarded. The line is a string_view so
-// the sharded workers can span-parse straight out of a memory-mapped feed
-// (stream/sharded.h) without materializing a per-line std::string first.
+                                      bool* unterminated_quote = nullptr);
 void ParseCsvLineInto(std::string_view line, std::vector<std::string>* fields,
                       bool* unterminated_quote);
 // Escapes one field for CSV output.
 std::string CsvEscape(const std::string& field);
 
-// Accepted wall-clock range for attack timestamps: values outside it are
-// rejected as kOutOfRangeTimestamp. Shared by the full row parse and the
-// sharded router's pre-scan (data/linescan.h) so the two cannot disagree.
-inline const TimePoint kMinAttackTimestamp = TimePoint(0);  // 1970
-inline const TimePoint kMaxAttackTimestamp =
-    TimePoint::FromDate(2100, 1, 1);
-
 // One-row building blocks of the attack-table format, shared by the file
 // readers/writers and the netd line-protocol ingest path (src/netd), which
 // receives the same Table-I rows one line at a time over TCP.
 //
-// TryParseAttackFields validates an already-split row; TryParseAttackLine
-// additionally splits (rejecting unterminated quotes). On failure *err is
-// filled with the kind and diagnosis (line_no/raw_line are left for the
-// caller, which knows its own feed position) and false is returned.
-bool TryParseAttackFields(const std::vector<std::string>& fields,
+// All of them fill *err with the kind and diagnosis on failure (line_no and
+// raw_line are left for the caller, which knows its own feed position) and
+// return false. *out is unspecified after a failure: the parse writes
+// straight into it, reusing its string capacity, and may have set some
+// fields before it hit the bad one.
+//
+// SplitAttackRow tokenizes a row and checks its shape: kUnterminatedQuote,
+// then kBadFieldCount unless it has 14 fields. TryParseAttackFields
+// validates the 14 fields in column order; TryParseAttackLine does both.
+bool SplitAttackRow(std::string_view line, CsvTokenizer* tokenizer,
+                    IngestError* err);
+bool TryParseAttackFields(std::span<const std::string_view> fields,
                           AttackRecord* out, IngestError* err);
 bool TryParseAttackLine(std::string_view line, AttackRecord* out,
                         IngestError* err);
+
+// The column checks TryParseAttackFields runs on ddos_id, the 32-bit
+// columns (botnet_id, asn, magnitude: [0, 2^32-1], named by `column` in the
+// detail), target_ip and the timestamp pair (format, range, then order).
+// The router's pre-scan (data/linescan.h) runs the same ones on the routed
+// columns, so a bad routed column gets the same kind and detail from both.
+bool ParseAttackId(std::string_view field, std::uint64_t* out,
+                   IngestError* err);
+bool ParseAttackU32(std::string_view column, std::string_view field,
+                    std::uint32_t* out, IngestError* err);
+bool ParseAttackIp(std::string_view field, net::IPv4Address* out,
+                   IngestError* err);
+bool ParseAttackTimes(std::string_view start, std::string_view end,
+                      TimePoint* start_out, TimePoint* end_out,
+                      IngestError* err);
 
 // The attack-table header row (no trailing newline) and a single data row
 // (trailing newline included), exactly as WriteAttacksCsv emits them.
@@ -176,7 +209,7 @@ class AttackCsvReader {
   bool header_skipped_ = false;
   // Scratch reused across Next() calls (hot-loop allocation avoidance).
   std::string line_;
-  std::vector<std::string> fields_;
+  CsvTokenizer tokenizer_;
   // Resolved metric handles; all null when options_.metrics is null.
   obs::Counter* obs_records_ = nullptr;
   obs::Counter* obs_bytes_ = nullptr;

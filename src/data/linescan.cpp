@@ -2,8 +2,6 @@
 
 #include <cstring>
 
-#include "common/strings.h"
-#include "data/csv.h"
 #include "net/ipv4.h"
 
 namespace ddos::data {
@@ -37,99 +35,22 @@ bool LineSpanScanner::Next(LineSpan* out) {
 
 bool AttackLinePreScanner::Scan(std::string_view line, AttackLinePreScan* out,
                                 IngestError* err) {
-  const auto fail = [err](IngestErrorKind kind, std::string detail) {
-    err->kind = kind;
-    err->detail = std::move(detail);
+  // The full parse's tokenizer, shape check and column checks, run only on
+  // the routed columns and in the full parse's column order.
+  if (!SplitAttackRow(line, &tokenizer_, err)) return false;
+  const auto f = tokenizer_.fields();
+  net::IPv4Address target;
+  TimePoint start;
+  TimePoint end;
+  if (!ParseAttackId(f[0], &out->ddos_id, err) ||
+      !ParseAttackU32("botnet_id", f[1], &out->botnet_id, err) ||
+      !ParseAttackIp(f[4], &target, err) ||
+      !ParseAttackTimes(f[5], f[6], &start, &end, err)) {
     return false;
-  };
-
-  // Walk the line with ParseCsvLineInto's exact quoting state machine, but
-  // materialize only the five routed columns; every other field just
-  // advances the quote/field state. Scratch slot per column of interest:
-  //   0 ddos_id, 1 botnet_id, 4 target_ip, 5 timestamp, 6 end_time.
-  static constexpr int kSlot[14] = {0,  1,  -1, -1, 2,  3,  4,
-                                    -1, -1, -1, -1, -1, -1, -1};
-  std::size_t field = 0;
-  std::string* cur = &scratch_[0];
-  cur->clear();
-  bool in_quotes = false;
-  bool at_field_start = true;
-  for (std::size_t i = 0; i < line.size(); ++i) {
-    const char c = line[i];
-    if (in_quotes) {
-      if (c == '"') {
-        if (i + 1 < line.size() && line[i + 1] == '"') {
-          if (cur != nullptr) cur->push_back('"');
-          ++i;
-        } else {
-          in_quotes = false;
-        }
-      } else if (cur != nullptr) {
-        cur->push_back(c);
-      }
-    } else if (c == '"' && at_field_start) {
-      in_quotes = true;
-      at_field_start = false;
-    } else if (c == ',') {
-      ++field;
-      at_field_start = true;
-      cur = nullptr;
-      if (field < 14 && kSlot[field] >= 0) {
-        cur = &scratch_[static_cast<std::size_t>(kSlot[field])];
-        cur->clear();
-      }
-    } else {
-      if (cur != nullptr) cur->push_back(c);
-      at_field_start = false;
-    }
   }
-  // Rejection order matches AttackCsvReader::Next: quote state first, then
-  // field count, then per-field validation in column order - so a
-  // single-defect row is attributed the same IngestErrorKind either way.
-  if (in_quotes) {
-    return fail(IngestErrorKind::kUnterminatedQuote,
-                "line ended inside a quoted field");
-  }
-  const std::size_t count = field + 1;
-  if (count != 14) {
-    return fail(IngestErrorKind::kBadFieldCount,
-                StrFormat("expected 14 fields, got %zu", count));
-  }
-  const auto ddos_id = ParseInt64(scratch_[0]);
-  if (!ddos_id || *ddos_id < 0) {
-    return fail(IngestErrorKind::kUnparseableNumber,
-                "bad ddos_id '" + scratch_[0] + "'");
-  }
-  out->ddos_id = static_cast<std::uint64_t>(*ddos_id);
-  const auto botnet_id = ParseInt64(scratch_[1]);
-  if (!botnet_id) {
-    return fail(IngestErrorKind::kUnparseableNumber,
-                "bad botnet_id '" + scratch_[1] + "'");
-  }
-  out->botnet_id = static_cast<std::uint32_t>(*botnet_id);
-  const auto ip = net::IPv4Address::Parse(scratch_[2]);
-  if (!ip) {
-    return fail(IngestErrorKind::kUnparseableNumber,
-                "bad target_ip '" + scratch_[2] + "'");
-  }
-  out->target_bits = ip->bits();
-  for (const std::size_t slot : {std::size_t{3}, std::size_t{4}}) {
-    const auto t = TimePoint::TryParse(scratch_[slot]);
-    if (!t) {
-      return fail(IngestErrorKind::kOutOfRangeTimestamp,
-                  "malformed timestamp '" + scratch_[slot] + "'");
-    }
-    if (*t < kMinAttackTimestamp || *t > kMaxAttackTimestamp) {
-      return fail(IngestErrorKind::kOutOfRangeTimestamp,
-                  "timestamp '" + scratch_[slot] + "' outside 1970..2100");
-    }
-    (slot == 3 ? out->start_s : out->end_s) = t->seconds();
-  }
-  if (out->end_s < out->start_s) {
-    return fail(IngestErrorKind::kNegativeDuration,
-                StrFormat("end_time precedes timestamp by %lld s",
-                          static_cast<long long>(out->start_s - out->end_s)));
-  }
+  out->target_bits = target.bits();
+  out->start_s = start.seconds();
+  out->end_s = end.seconds();
   return true;
 }
 

@@ -11,29 +11,31 @@
 //    write AttackCsvReader reports as kTruncatedLine). SeekTo() restores a
 //    checkpointed byte offset, which is how span-based resume works.
 //
-//  * AttackLinePreScanner - the router's single-pass byte-scan over one
-//    line. It extracts exactly the fields routing needs - botnet_id (the
-//    record shard key), target_ip (the collab shard key), ddos_id (dup
-//    detection) and both timestamps (the global inter-attack gap) - while
-//    tracking RFC-4180 quoting, and validates them with the same
-//    primitives the full parse uses.
+//  * AttackLinePreScanner - the router's check of one line. It splits the
+//    line with the full parse's CsvTokenizer (data/csv.h) and runs the
+//    full parse's shape check and column checks on exactly the fields
+//    routing needs: ddos_id (dup detection), botnet_id (the record shard
+//    key), target_ip (the collab shard key) and both timestamps (the
+//    global inter-attack gap).
 //
 // Pre-scan contract: a line the pre-scan rejects would also be rejected by
-// the full TryParseAttackLine parse, with the same IngestErrorKind when
-// that line has a single defect. The converse does not hold: a row can
-// pass the pre-scan and still fail full parse in a worker (bad family/
-// protocol/asn/coordinate/magnitude) - those are reported by the shard
-// with the original line number. DESIGN.md ("parse-in-shard ingest")
-// documents what that asymmetry means for interval statistics.
+// the full TryParseAttackLine parse, with the same IngestErrorKind and
+// detail when that line has a single defect (the same code reports it).
+// With several defects the full parse reports the first in column order,
+// which may be a family or protocol the pre-scan skips. The converse does
+// not hold: a row can pass the pre-scan and still fail full parse in a
+// worker (bad family/protocol/asn/coordinate/magnitude) - those are
+// reported by the shard with the original line number. DESIGN.md
+// ("parse-in-shard ingest") documents what that asymmetry means for
+// interval statistics.
 #ifndef DDOSCOPE_DATA_LINESCAN_H_
 #define DDOSCOPE_DATA_LINESCAN_H_
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <string_view>
 
+#include "data/csv.h"
 #include "data/ingest_error.h"
 
 namespace ddos::data {
@@ -86,9 +88,8 @@ struct AttackLinePreScan {
   std::int64_t end_s = 0;        // 'end_time' column
 };
 
-// Single-pass field-extracting scan. Reusable: the scratch buffers for the
-// five extracted fields stop allocating once they have seen their widest
-// values, so the router's steady state is copy-only. Not thread-safe;
+// Reusable: the tokenizer stops allocating once it has seen the widest
+// line, so the router's steady state allocates nothing. Not thread-safe;
 // one instance per routing thread.
 class AttackLinePreScanner {
  public:
@@ -98,8 +99,7 @@ class AttackLinePreScanner {
   bool Scan(std::string_view line, AttackLinePreScan* out, IngestError* err);
 
  private:
-  // ddos_id, botnet_id, target_ip, timestamp, end_time.
-  std::array<std::string, 5> scratch_;
+  CsvTokenizer tokenizer_;
 };
 
 }  // namespace ddos::data

@@ -52,9 +52,8 @@ std::string_view FamilyName(Family f) {
 }
 
 std::optional<Family> ParseFamily(std::string_view name) {
-  const std::string lower = ToLower(name);
   for (std::size_t i = 0; i < kFamilyNames.size(); ++i) {
-    if (kFamilyNames[i] == lower) return kAll[i];
+    if (EqualsIgnoreCase(kFamilyNames[i], name)) return kAll[i];
   }
   return std::nullopt;
 }
@@ -70,9 +69,8 @@ std::string_view ProtocolName(Protocol p) {
 }
 
 std::optional<Protocol> ParseProtocol(std::string_view name) {
-  const std::string upper = ToLower(name);
   for (std::size_t i = 0; i < kProtocolNames.size(); ++i) {
-    if (ToLower(kProtocolNames[i]) == upper) return kProtocols[i];
+    if (EqualsIgnoreCase(kProtocolNames[i], name)) return kProtocols[i];
   }
   return std::nullopt;
 }

@@ -54,7 +54,8 @@ std::span<const Family> ActiveFamilies();
 std::span<const Family> AllFamilies();
 
 std::string_view FamilyName(Family f);
-std::optional<Family> ParseFamily(std::string_view name);  // case-insensitive
+// Case-insensitive for ASCII letters only (EqualsIgnoreCase).
+std::optional<Family> ParseFamily(std::string_view name);
 bool IsActive(Family f);
 
 enum class Protocol : std::uint8_t {
@@ -71,7 +72,7 @@ inline constexpr int kProtocolCount = 7;
 
 std::span<const Protocol> AllProtocols();
 std::string_view ProtocolName(Protocol p);
-std::optional<Protocol> ParseProtocol(std::string_view name);
+std::optional<Protocol> ParseProtocol(std::string_view name);  // ditto
 
 }  // namespace ddos::data
 

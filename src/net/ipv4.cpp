@@ -7,13 +7,40 @@
 namespace ddos::net {
 
 std::optional<IPv4Address> IPv4Address::Parse(std::string_view text) {
-  const auto parts = Split(text, '.');
-  if (parts.size() != 4) return std::nullopt;
+  // Fast path: plain dotted decimal, 1-3 digits and at most 255 per octet.
   std::uint32_t bits = 0;
-  for (const auto& part : parts) {
-    const auto v = ParseInt64(part);
+  std::uint32_t octet = 0;
+  int digits = 0;
+  int dots = 0;
+  bool plain = true;
+  for (const char c : text) {
+    if (c >= '0' && c <= '9' && digits < 3) {
+      octet = octet * 10 + static_cast<std::uint32_t>(c - '0');
+      ++digits;
+    } else if (c == '.' && digits > 0 && dots < 3 && octet <= 255) {
+      bits = (bits << 8) | octet;
+      octet = 0;
+      digits = 0;
+      ++dots;
+    } else {
+      plain = false;
+      break;
+    }
+  }
+  if (plain && dots == 3 && digits > 0 && octet <= 255) {
+    return IPv4Address((bits << 8) | octet);
+  }
+  // Anything else: four '.'-separated parts, each read by ParseInt64 (which
+  // trims and takes a '+'). A stray fifth part needs no count: it leaves a
+  // '.' in the last part, which ParseInt64 rejects.
+  bits = 0;
+  for (int i = 0; i < 4; ++i) {
+    const std::size_t dot = i < 3 ? text.find('.') : text.size();
+    if (dot == std::string_view::npos) return std::nullopt;
+    const auto v = ParseInt64(text.substr(0, dot));
     if (!v || *v < 0 || *v > 255) return std::nullopt;
     bits = (bits << 8) | static_cast<std::uint32_t>(*v);
+    if (i < 3) text.remove_prefix(dot + 1);
   }
   return IPv4Address(bits);
 }

@@ -237,7 +237,7 @@ void ShardedStreamEngine::Push(const data::AttackRecord& attack) {
 void ShardedStreamEngine::ApplySpanTask(Shard* shard, const Task& task) {
   // Worker thread, shard->mutex held. The full 14-column parse runs here,
   // inside the shard - the whole point of span routing.
-  data::AttackRecord rec;
+  data::AttackRecord& rec = shard->parsed;
   data::IngestError err;
   if (data::TryParseAttackLine(task.span, &rec, &err)) {
     if (task.kind != Task::Kind::kLineCollab) {

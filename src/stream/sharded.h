@@ -232,6 +232,9 @@ class ShardedStreamEngine {
     // batch), so a post-barrier read is race-free.
     std::vector<data::IngestError> errors;
     data::IngestErrorReport report;
+    // ApplySpanTask's parse target, reused so the record's strings keep
+    // their capacity across spans. Worker thread only.
+    data::AttackRecord parsed;
     std::atomic<bool> stop{false};
     std::atomic<bool> stall{false};           // ChaosStallShard park flag
     std::atomic<std::uint64_t> processed{0};  // tasks applied (watchdog)

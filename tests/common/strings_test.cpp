@@ -1,5 +1,8 @@
 #include "common/strings.h"
 
+#include <cstdint>
+#include <limits>
+
 #include <gtest/gtest.h>
 
 namespace ddos {
@@ -72,6 +75,38 @@ TEST(ParseInt64, InvalidValues) {
   EXPECT_FALSE(ParseInt64("abc").has_value());
   EXPECT_FALSE(ParseInt64("12x").has_value());
   EXPECT_FALSE(ParseInt64("1.5").has_value());
+}
+
+// The shapes a digits-only fast path would shortcut: each must parse exactly
+// as the general trim/sign/from_chars path does.
+TEST(ParseInt64, EdgeShapesArePinned) {
+  EXPECT_EQ(ParseInt64(" 19 "), 19);
+  EXPECT_EQ(ParseInt64("+5"), 5);
+  EXPECT_FALSE(ParseInt64("+-5").has_value());
+  EXPECT_FALSE(ParseInt64("++5").has_value());
+  EXPECT_FALSE(ParseInt64("+").has_value());
+  EXPECT_FALSE(ParseInt64("-").has_value());
+  EXPECT_EQ(ParseInt64("-0"), 0);
+  EXPECT_EQ(ParseInt64("007"), 7);
+  EXPECT_EQ(ParseInt64("123456789012345678"), 123456789012345678);  // 18
+  EXPECT_EQ(ParseInt64("999999999999999999"), 999999999999999999);  // 18
+  EXPECT_EQ(ParseInt64("1234567890123456789"), 1234567890123456789);  // 19
+  EXPECT_EQ(ParseInt64("9223372036854775807"),
+            std::numeric_limits<std::int64_t>::max());
+  EXPECT_EQ(ParseInt64("-9223372036854775808"),
+            std::numeric_limits<std::int64_t>::min());
+  EXPECT_FALSE(ParseInt64("9223372036854775808").has_value());
+  EXPECT_FALSE(ParseInt64("-9223372036854775809").has_value());
+  EXPECT_FALSE(ParseInt64("99999999999999999999").has_value());
+  EXPECT_FALSE(ParseInt64("1 2").has_value());
+}
+
+TEST(EqualsIgnoreCase, FoldsAsciiLettersOnly) {
+  EXPECT_TRUE(EqualsIgnoreCase("HTTP", "http"));
+  EXPECT_TRUE(EqualsIgnoreCase("", ""));
+  EXPECT_FALSE(EqualsIgnoreCase("HTTP", "HTTPS"));
+  EXPECT_FALSE(EqualsIgnoreCase("@", "`"));  // 0x40 vs 0x60
+  EXPECT_FALSE(EqualsIgnoreCase("\xC9", "\xE9"));  // Latin-1 E-acute pair
 }
 
 TEST(ParseDouble, ValidValues) {

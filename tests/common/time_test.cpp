@@ -87,6 +87,38 @@ TEST(TimePoint, ParseRejectsGarbage) {
   EXPECT_THROW(TimePoint::Parse("2012-08-29 10:61:00"), std::invalid_argument);
 }
 
+// The shapes a fixed-position "YYYY-MM-DD HH:MM:SS" fast path must either
+// handle identically or hand to the general scanner.
+TEST(TimePoint, TryParseEdgeShapesArePinned) {
+  EXPECT_EQ(TimePoint::TryParse("2012-6-1 1:2:3"),
+            TimePoint::FromCivil({{2012, 6, 1}, 1, 2, 3}));
+  EXPECT_FALSE(TimePoint::TryParse("2012-02-30 00:00:00").has_value());
+  EXPECT_EQ(TimePoint::TryParse("2012-02-29 00:00:00"),
+            TimePoint::FromDate(2012, 2, 29));
+  EXPECT_FALSE(TimePoint::TryParse("2011-02-29 00:00:00").has_value());
+  EXPECT_FALSE(TimePoint::TryParse("2012-06-01 24:00:00").has_value());
+  EXPECT_FALSE(TimePoint::TryParse("2012-06-01 23:60:00").has_value());
+  EXPECT_FALSE(TimePoint::TryParse("2012-06-01 23:59:60").has_value());
+  EXPECT_FALSE(TimePoint::TryParse("2012-00-01 00:00:00").has_value());
+  EXPECT_FALSE(TimePoint::TryParse("2012-06-00 00:00:00").has_value());
+  const TimePoint t = TimePoint::FromCivil({{2012, 6, 1}, 10, 20, 30});
+  // Trailing bytes after the seconds field are tolerated.
+  EXPECT_EQ(TimePoint::TryParse("2012-06-01 10:20:30xyz"), t);
+  EXPECT_EQ(TimePoint::TryParse("2012-06-01 10:20:30 "), t);
+  // Same length as the fixed shape, but the last digit is not one.
+  EXPECT_EQ(TimePoint::TryParse("2012-06-01 10:20:3x"),
+            TimePoint::FromCivil({{2012, 6, 1}, 10, 20, 3}));
+  // Leading whitespace before each number is skipped.
+  EXPECT_EQ(TimePoint::TryParse(" 2012-06-01 10:20:30"), t);
+  EXPECT_EQ(TimePoint::TryParse("2012-06-01  10:20:30"), t);
+  EXPECT_FALSE(TimePoint::TryParse("2012-06-01T10:20:30").has_value());
+  EXPECT_FALSE(TimePoint::TryParse("2012/06/01 10:20:30").has_value());
+  EXPECT_FALSE(TimePoint::TryParse("2012-06-01 10-20-30").has_value());
+  EXPECT_EQ(TimePoint::TryParse("0000-01-01 00:00:00"),
+            TimePoint::FromDate(0, 1, 1));
+  EXPECT_EQ(TimePoint::TryParse("2012-06-01"), TimePoint::FromDate(2012, 6, 1));
+}
+
 TEST(TimePoint, Arithmetic) {
   const TimePoint t = TimePoint::FromDate(2012, 8, 29);
   EXPECT_EQ((t + 3600) - t, 3600);

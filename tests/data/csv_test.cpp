@@ -168,6 +168,45 @@ TEST(AttackCsv, TextFieldsNeedingQuotesRoundTrip) {
   }
 }
 
+// botnet_id, asn and magnitude are 32-bit columns: a value outside
+// [0, 2^32-1] is rejected, not wrapped onto another botnet/AS/magnitude.
+TEST(AttackCsv, RejectsThirtyTwoBitColumnsOutOfRange) {
+  const auto row = [](const char* botnet, const char* asn, const char* mag) {
+    return std::string("42,") + botnet +
+           ",dirtjumper,HTTP,198.51.100.7,2012-09-01 10:00:00,"
+           "2012-09-01 11:30:00," +
+           asn + ",RU,Moscow,55.76,37.62,RU-WebHosting-01," + mag;
+  };
+  const struct {
+    std::string line;
+    const char* detail;
+  } bad[] = {
+      {row("4294967297", "65001", "120"), "bad botnet_id '4294967297'"},
+      {row("-1", "65001", "120"), "bad botnet_id '-1'"},
+      {row("7", "-3", "120"), "bad asn '-3'"},
+      {row("7", "4294967296", "120"), "bad asn '4294967296'"},
+      {row("7", "65001", "4294967296"), "bad magnitude '4294967296'"},
+      {row("7", "65001", "-1"), "bad magnitude '-1'"},
+  };
+  for (const auto& c : bad) {
+    AttackRecord out;
+    IngestError err;
+    EXPECT_FALSE(TryParseAttackLine(c.line, &out, &err)) << c.line;
+    EXPECT_EQ(err.kind, IngestErrorKind::kUnparseableNumber) << c.line;
+    EXPECT_EQ(err.detail, c.detail);
+  }
+  AttackRecord out;
+  IngestError err;
+  ASSERT_TRUE(TryParseAttackLine(row("4294967295", "4294967295", "4294967295"),
+                                 &out, &err))
+      << err.detail;
+  EXPECT_EQ(out.botnet_id, 4294967295u);
+  EXPECT_EQ(out.asn.value(), 4294967295u);
+  EXPECT_EQ(out.magnitude, 4294967295u);
+  ASSERT_TRUE(TryParseAttackLine(row("0", "0", "0"), &out, &err)) << err.detail;
+  EXPECT_EQ(out.botnet_id, 0u);
+}
+
 TEST(AttackCsv, RejectsWrongFieldCount) {
   std::stringstream ss("header\n1,2,3\n");
   EXPECT_THROW(ReadAttacksCsv(ss), std::runtime_error);

@@ -186,6 +186,14 @@ TEST(AttackLinePreScanner, RejectionsMatchTheFullParseKindForKind) {
        "notanum,77,dirtjumper,HTTP,203.0.113.9,2012-06-01 10:20:30,"
        "2012-06-01 11:20:30,64500,US,City,39.09,-94.57,ExampleOrg,1500",
        IngestErrorKind::kUnparseableNumber},
+      {"botnet_id past 2^32",
+       "123456,4294967297,dirtjumper,HTTP,203.0.113.9,2012-06-01 10:20:30,"
+       "2012-06-01 11:20:30,64500,US,City,39.09,-94.57,ExampleOrg,1500",
+       IngestErrorKind::kUnparseableNumber},
+      {"negative botnet_id",
+       "123456,-1,dirtjumper,HTTP,203.0.113.9,2012-06-01 10:20:30,"
+       "2012-06-01 11:20:30,64500,US,City,39.09,-94.57,ExampleOrg,1500",
+       IngestErrorKind::kUnparseableNumber},
       {"bad target_ip",
        "123456,77,dirtjumper,HTTP,999.0.113.9,2012-06-01 10:20:30,"
        "2012-06-01 11:20:30,64500,US,City,39.09,-94.57,ExampleOrg,1500",
@@ -236,6 +244,12 @@ TEST(AttackLinePreScanner, WorkerOnlyDefectsPassThePreScan) {
       // bad magnitude
       "123456,77,dirtjumper,HTTP,203.0.113.9,2012-06-01 10:20:30,"
       "2012-06-01 11:20:30,64500,US,City,39.09,-94.57,ExampleOrg,notanum",
+      // negative asn
+      "123456,77,dirtjumper,HTTP,203.0.113.9,2012-06-01 10:20:30,"
+      "2012-06-01 11:20:30,-3,US,City,39.09,-94.57,ExampleOrg,1500",
+      // magnitude past 2^32
+      "123456,77,dirtjumper,HTTP,203.0.113.9,2012-06-01 10:20:30,"
+      "2012-06-01 11:20:30,64500,US,City,39.09,-94.57,ExampleOrg,4294967296",
       // latitude off the planet
       "123456,77,dirtjumper,HTTP,203.0.113.9,2012-06-01 10:20:30,"
       "2012-06-01 11:20:30,64500,US,City,91.5,-94.57,ExampleOrg,1500",

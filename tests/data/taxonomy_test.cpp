@@ -56,6 +56,20 @@ TEST(Taxonomy, ParseFamilyCaseInsensitive) {
   EXPECT_EQ(ParseFamily("BLACKENERGY"), Family::kBlackenergy);
 }
 
+// Matching folds ASCII letters only: a byte that differs from a name's
+// letter by the 0x20 case bit outside A-Z/a-z must not match.
+TEST(Taxonomy, CaseFoldIsAsciiOnly) {
+  EXPECT_EQ(ParseFamily("NITOL"), Family::kNitol);
+  EXPECT_EQ(ParseFamily("yZf"), Family::kYzf);
+  EXPECT_EQ(ParseProtocol("Undetermined"), Protocol::kUndetermined);
+  EXPECT_EQ(ParseProtocol("sYn"), Protocol::kSyn);
+  EXPECT_FALSE(ParseFamily("\xC1LDIBOT").has_value());   // 0xC1 | 0x20 = 0xE1
+  EXPECT_FALSE(ParseFamily("nitol\xC9").has_value());
+  EXPECT_FALSE(ParseProtocol("\xC8TTP").has_value());
+  EXPECT_FALSE(ParseProtocol("TCP ").has_value());
+  EXPECT_FALSE(ParseProtocol("ICM").has_value());
+}
+
 TEST(Taxonomy, ParseFamilyRejectsUnknown) {
   EXPECT_FALSE(ParseFamily("mirai").has_value());
   EXPECT_FALSE(ParseFamily("").has_value());

@@ -48,6 +48,22 @@ INSTANTIATE_TEST_SUITE_P(
                       ParseCase{"", false}, ParseCase{"a.b.c.d", false},
                       ParseCase{"1.2.3.-4", false}, ParseCase{"1..3.4", false}));
 
+// Each octet goes through ParseInt64, which trims, allows a leading '+' and
+// leading zeros; a parser that stops splitting into strings must keep that.
+TEST(IPv4Address, LenientOctetShapesArePinned) {
+  const IPv4Address want = IPv4Address::FromOctets(1, 2, 3, 4);
+  EXPECT_EQ(IPv4Address::Parse("01.2.3.4"), want);
+  EXPECT_EQ(IPv4Address::Parse(" 1.2.3.4"), want);
+  EXPECT_EQ(IPv4Address::Parse("1.+2.3.4"), want);
+  EXPECT_EQ(IPv4Address::Parse("1.2.3.4 "), want);
+  EXPECT_EQ(IPv4Address::Parse("1. 2 .3.004"), want);
+  EXPECT_FALSE(IPv4Address::Parse("1.2.3.4.").has_value());
+  EXPECT_FALSE(IPv4Address::Parse(".1.2.3.4").has_value());
+  EXPECT_FALSE(IPv4Address::Parse("1.2.3.+-4").has_value());
+  EXPECT_FALSE(IPv4Address::Parse("1.2.3.4x").has_value());
+  EXPECT_FALSE(IPv4Address::Parse("1.2.3.256").has_value());
+}
+
 TEST(IPv4Address, Ordering) {
   EXPECT_LT(IPv4Address::FromOctets(1, 0, 0, 0), IPv4Address::FromOctets(2, 0, 0, 0));
   EXPECT_EQ(IPv4Address(5), IPv4Address(5));
