@@ -19,13 +19,6 @@ namespace {
   throw std::runtime_error(StrFormat("CSV: %s at line %zu", what, line_no));
 }
 
-std::int64_t FieldInt(const std::vector<std::string>& fields, std::size_t idx,
-                      std::size_t line_no) {
-  const auto v = ParseInt64(fields.at(idx));
-  if (!v) Fail("bad integer field", line_no);
-  return *v;
-}
-
 bool ParseError(IngestError* err, IngestErrorKind kind, std::string detail) {
   err->kind = kind;
   err->detail = std::move(detail);
@@ -383,10 +376,7 @@ bool AttackCsvReader::Next(AttackRecord* out) {
     report_.Add(err.kind);
     obs::MaybeAdd(obs_errors_[static_cast<std::size_t>(err.kind)]);
     if (options_.policy == ParsePolicy::kStrict) {
-      throw std::runtime_error(StrFormat(
-          "CSV: %s: %s at line %zu",
-          std::string(IngestErrorKindName(err.kind)).c_str(),
-          err.detail.c_str(), line_no_));
+      throw std::runtime_error(StrictErrorMessage(err));
     }
     if (options_.policy == ParsePolicy::kQuarantine &&
         options_.quarantine != nullptr) {
@@ -461,7 +451,10 @@ std::vector<BotnetRecord> ReadBotnetsCsv(std::istream& in) {
     const auto f = ParseCsvLine(line);
     if (f.size() != 5) Fail("expected 5 fields", line_no);
     BotnetRecord b;
-    b.botnet_id = static_cast<std::uint32_t>(FieldInt(f, 0, line_no));
+    IngestError err;
+    if (!ParseAttackU32("botnet_id", f[0], &b.botnet_id, &err)) {
+      Fail("bad botnet_id", line_no);
+    }
     const auto family = ParseFamily(f[1]);
     if (!family) Fail("unknown family", line_no);
     b.family = *family;

@@ -28,6 +28,12 @@ std::string_view IngestErrorKindName(IngestErrorKind kind) {
   return "unknown";
 }
 
+std::string StrictErrorMessage(const IngestError& error) {
+  return StrFormat("CSV: %s: %s at line %zu",
+                   std::string(IngestErrorKindName(error.kind)).c_str(),
+                   error.detail.c_str(), error.line_no);
+}
+
 std::string IngestErrorReport::ToString() const {
   std::string out;
   for (int k = 0; k < kIngestErrorKindCount; ++k) {

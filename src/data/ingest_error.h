@@ -50,6 +50,11 @@ struct IngestError {
   std::string raw_line;  // the offending line, verbatim
 };
 
+// The exception text of a ParsePolicy::kStrict rejection,
+// "CSV: <kind>: <detail> at line <n>" - one formatter, so every ingest
+// path aborts with the same message for the same row.
+std::string StrictErrorMessage(const IngestError& error);
+
 enum class ParsePolicy : std::uint8_t {
   kStrict = 0,  // throw std::runtime_error on the first bad row
   kSkip,        // count the error and continue with the next row

@@ -216,12 +216,8 @@ void IngestServer::Bind() {
       FileExists(config_.checkpoint_path)) {
     stream::ShardedCheckpointState state =
         stream::ReadShardedCheckpoint(config_.checkpoint_path);
-    // Reconstruct the requested accuracy contract from a section's config;
-    // the sections of a multi-shard checkpoint run at half epsilon.
-    stream::StreamEngineConfig restored = state.engines.front().config();
-    if (state.engines.size() > 1) restored.quantile_epsilon *= 2.0;
-    sharded.engine = restored;
-    config_.engine = restored;
+    sharded.engine = stream::RequestedEngineConfig(state);
+    config_.engine = sharded.engine;
     engine_ = std::make_unique<stream::ShardedStreamEngine>(sharded);
     engine_->RestoreFrom(state);
     total_accepted_ = state.meta.records;

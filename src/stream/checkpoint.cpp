@@ -153,12 +153,12 @@ StreamEngine ReadCheckpoint(std::istream& in, CheckpointMeta* meta) {
   auto [version, payload] = ReadFramed(in);
   ShardedCheckpointState state = ParseShardedPayload(version, payload);
   if (meta != nullptr) *meta = state.meta;
-  // One section restores bit-identically; several fold through Merge (the
-  // sections are shard-disjoint, so exact tallies stay exact).
-  StreamEngine merged = std::move(state.engines.front());
-  for (std::size_t i = 1; i < state.engines.size(); ++i) {
-    merged.Merge(state.engines[i]);
-  }
+  return MergeSections(std::move(state.engines));
+}
+
+StreamEngine MergeSections(std::vector<StreamEngine> sections) {
+  StreamEngine merged = std::move(sections.front());
+  for (std::size_t i = 1; i < sections.size(); ++i) merged.Merge(sections[i]);
   return merged;
 }
 

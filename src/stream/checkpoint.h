@@ -100,6 +100,11 @@ void WriteShardedCheckpoint(const std::string& path,
 ShardedCheckpointState ReadShardedCheckpoint(std::istream& in);
 ShardedCheckpointState ReadShardedCheckpoint(const std::string& path);
 
+// Folds a checkpoint's sections into the one engine ReadCheckpoint returns:
+// a single section restores bit-identically, several fold through Merge
+// (the sections are shard-disjoint, so exact tallies stay exact).
+StreamEngine MergeSections(std::vector<StreamEngine> sections);
+
 }  // namespace ddos::stream
 
 #endif  // DDOSCOPE_STREAM_CHECKPOINT_H_

@@ -55,6 +55,7 @@ ShardedStreamEngine::ShardedStreamEngine(
   const std::size_t n = std::max<std::size_t>(1, config.shards);
   // Half epsilon per shard so the merged sketch honors the requested rank
   // error (merging can double the per-sketch bound; stream/sketch.h).
+  // RequestedEngineConfig below undoes this for a checkpoint's sections.
   if (n > 1) worker_config_.quantile_epsilon = config.engine.quantile_epsilon / 2.0;
   shards_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -115,6 +116,12 @@ ShardedStreamEngine::ShardedStreamEngine(
   for (auto& shard : shards_) {
     shard->worker = std::thread([this, s = shard.get()] { WorkerMain(s); });
   }
+}
+
+StreamEngineConfig RequestedEngineConfig(const ShardedCheckpointState& state) {
+  StreamEngineConfig requested = state.engines.front().config();
+  if (state.engines.size() > 1) requested.quantile_epsilon *= 2.0;
+  return requested;
 }
 
 ShardedStreamEngine::~ShardedStreamEngine() {
@@ -284,11 +291,12 @@ void ShardedStreamEngine::RecordRouterError(data::IngestError&& err) {
   error_total_.fetch_add(1, std::memory_order_relaxed);
   router_errors_.push_back(std::move(err));
   if (config_.parse.policy == data::ParsePolicy::kStrict) {
-    const data::IngestError& e = router_errors_.back();
-    throw std::runtime_error(StrFormat(
-        "CSV: %s: %s at line %zu",
-        std::string(data::IngestErrorKindName(e.kind)).c_str(),
-        e.detail.c_str(), e.line_no));
+    // The reader aborts on the first bad line. An earlier line may still
+    // sit unparsed in a ring, so let the workers catch up: a rejection they
+    // find is earlier than this one and wins.
+    DrainBarrier();
+    if (worker_fatal_.load(std::memory_order_acquire)) ThrowWorkerFatal();
+    throw std::runtime_error(data::StrictErrorMessage(router_errors_.back()));
   }
 }
 
@@ -308,10 +316,7 @@ void ShardedStreamEngine::ThrowWorkerFatal() {
   if (!have) {
     throw std::runtime_error("CSV: worker rejected a row (detail lost)");
   }
-  throw std::runtime_error(StrFormat(
-      "CSV: %s: %s at line %zu",
-      std::string(data::IngestErrorKindName(first.kind)).c_str(),
-      first.detail.c_str(), first.line_no));
+  throw std::runtime_error(data::StrictErrorMessage(first));
 }
 
 void ShardedStreamEngine::PushLine(std::string_view line, std::size_t line_no,
@@ -338,19 +343,26 @@ void ShardedStreamEngine::PushLine(std::string_view line, std::size_t line_no,
 
   data::AttackLinePreScan scan;
   bool ok = prescan_.Scan(line, &scan, &err);
-  // Reclassify a torn tail before the duplicate check, exactly as the
-  // reader does: a parse failure on an unterminated final line is reported
-  // as the torn write it is.
-  if (!ok && !saw_newline) {
-    err.kind = data::IngestErrorKind::kTruncatedLine;
-    err.detail = "stream ended mid-record (" + err.detail + ")";
-  }
+  bool duplicate = false;
   if (ok && config_.parse.detect_duplicate_ids &&
       !seen_ids_.insert(scan.ddos_id).second) {
+    // The reader checks every column before the id, so a repeated id that
+    // also fails the full parse is rejected for that failure. Only repeats
+    // pay this router-side parse.
+    data::AttackRecord parsed;
+    duplicate = data::TryParseAttackLine(line, &parsed, &err);
+    if (duplicate) {
+      err.kind = data::IngestErrorKind::kDuplicateId;
+      err.detail = StrFormat("ddos_id %llu already ingested",
+                             static_cast<unsigned long long>(scan.ddos_id));
+    }
     ok = false;
-    err.kind = data::IngestErrorKind::kDuplicateId;
-    err.detail = StrFormat("ddos_id %llu already ingested",
-                           static_cast<unsigned long long>(scan.ddos_id));
+  }
+  // Reclassify a torn tail exactly as the reader does: a parse failure on
+  // an unterminated final line is reported as the torn write it is.
+  if (!ok && !duplicate && !saw_newline) {
+    err.kind = data::IngestErrorKind::kTruncatedLine;
+    err.detail = "stream ended mid-record (" + err.detail + ")";
   }
   if (!ok) {
     err.line_no = line_no;
@@ -500,10 +512,8 @@ StreamSnapshot ShardedStreamEngine::Snapshot(std::size_t top_k) {
   return MergeShards().Snapshot(top_k);
 }
 
-void ShardedStreamEngine::SaveCheckpoint(std::ostream& out,
-                                         const CheckpointMeta& meta) {
-  obs::SpanTimer span(trace_, obs_checkpoint_seconds_, "checkpoint",
-                      "sharded");
+ShardedCheckpointState ShardedStreamEngine::CaptureCheckpoint(
+    const CheckpointMeta& meta) {
   ShardedCheckpointState state;
   state.meta = meta;
   state.router_attacks = attacks_;
@@ -515,25 +525,21 @@ void ShardedStreamEngine::SaveCheckpoint(std::ostream& out,
     std::lock_guard<std::mutex> lock(shard->mutex);
     state.engines.push_back(shard->engine);
   }
-  WriteShardedCheckpoint(out, state);
+  return state;
+}
+
+void ShardedStreamEngine::SaveCheckpoint(std::ostream& out,
+                                         const CheckpointMeta& meta) {
+  obs::SpanTimer span(trace_, obs_checkpoint_seconds_, "checkpoint",
+                      "sharded");
+  WriteShardedCheckpoint(out, CaptureCheckpoint(meta));
 }
 
 void ShardedStreamEngine::SaveCheckpoint(const std::string& path,
                                          const CheckpointMeta& meta) {
   obs::SpanTimer span(trace_, obs_checkpoint_seconds_, "checkpoint",
                       "sharded");
-  ShardedCheckpointState state;
-  state.meta = meta;
-  state.router_attacks = attacks_;
-  state.router_first_start_s = first_start_.seconds();
-  state.router_last_start_s = last_start_.seconds();
-  DrainBarrier();
-  state.engines.reserve(shards_.size());
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    state.engines.push_back(shard->engine);
-  }
-  WriteShardedCheckpoint(path, state);
+  WriteShardedCheckpoint(path, CaptureCheckpoint(meta));
 }
 
 void ShardedStreamEngine::RestoreFrom(const ShardedCheckpointState& state) {

@@ -22,7 +22,8 @@
 // Per-shard quantile sketches run at half the requested epsilon: a GK merge
 // of k sketches is bounded by the max per-sketch error times two in the
 // worst interleaving (stream/sketch.h), so halving keeps the merged view
-// within the configured contract.
+// within the configured contract (a checkpoint's requested contract comes
+// back through RequestedEngineConfig).
 //
 // Parse-in-shard ingest (PushLine): for file feeds the router does not
 // parse rows at all. It byte-scans each raw line span just enough to
@@ -100,6 +101,11 @@ struct ShardedStreamEngineConfig {
   // so the caller can write them in deterministic line order.
   data::ParseOptions parse;
 };
+
+// The requested contract a checkpoint was written under: a section's
+// config with the half-epsilon rule undone (a single section is the
+// requested config itself). The one inverse of the constructor's halving.
+StreamEngineConfig RequestedEngineConfig(const ShardedCheckpointState& state);
 
 class ShardedStreamEngine {
  public:
@@ -247,6 +253,8 @@ class ShardedStreamEngine {
     obs::Gauge* obs_queue_highwater = nullptr;      // max occupied slots seen
   };
 
+  // Barrier, then the router cursor plus a copy of every shard's engine.
+  ShardedCheckpointState CaptureCheckpoint(const CheckpointMeta& meta);
   void WorkerMain(Shard* shard);
   void ApplySpanTask(Shard* shard, const Task& task);
   void Enqueue(std::size_t shard_index, Task&& task);

@@ -248,6 +248,30 @@ TEST(BotnetCsv, RoundTrip) {
   EXPECT_EQ(back[0].last_seen, b.last_seen);
 }
 
+// botnet_id is a u32: ids outside [0, 2^32 - 1] are rejected with their
+// line, not wrapped (4294967297 used to read back as 1, -1 as 4294967295).
+TEST(BotnetCsv, OutOfRangeIdIsRejectedNotWrapped) {
+  const std::string header =
+      "botnet_id,family,controller_ip,first_seen,last_seen\n";
+  const std::string rest =
+      ",pandora,203.0.113.9,2012-08-29 00:00:00,2013-03-24 00:00:00\n";
+  for (const char* id : {"4294967296", "4294967297", "-1"}) {
+    SCOPED_TRACE(id);
+    std::stringstream in(header + id + rest);
+    try {
+      ReadBotnetsCsv(in);
+      FAIL() << "accepted botnet_id " << id;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("at line 2"), std::string::npos)
+          << e.what();
+    }
+  }
+  std::stringstream max_id(header + "4294967295" + rest);
+  const auto back = ReadBotnetsCsv(max_id);
+  ASSERT_EQ(back.size(), 1u);
+  EXPECT_EQ(back[0].botnet_id, 4294967295u);
+}
+
 TEST(SnapshotCsv, RoundTripGroupsRows) {
   std::vector<SnapshotRecord> snaps;
   snaps.push_back(SnapshotRecord{TimePoint(3600), Family::kNitol,

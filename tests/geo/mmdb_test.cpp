@@ -1,6 +1,7 @@
 #include "geo/mmdb.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <bit>
 #include <cstdint>
@@ -15,8 +16,11 @@
 namespace ddos::geo {
 namespace {
 
+// Unique per process: ctest runs every case as its own process, and the
+// suite fixture's file would otherwise be written and removed by parallel
+// cases at once.
 std::string TempPath(const std::string& name) {
-  return testing::TempDir() + "/" + name;
+  return testing::TempDir() + "/" + std::to_string(::getpid()) + "_" + name;
 }
 
 std::string ReadFile(const std::string& path) {

@@ -325,6 +325,97 @@ TEST(SpanIngest, StrictModeThrowsTheReaderExactMessage) {
   }
 }
 
+// Swaps the family column (third field) of a rendered row for an unknown
+// name: a defect only the worker's full parse detects.
+std::string WithUnknownFamily(std::string row) {
+  const std::size_t p0 = row.find(',', row.find(',') + 1) + 1;
+  row.replace(p0, row.find(',', p0) - p0, "nosuchfamily");
+  return row;
+}
+
+// A repeated ddos_id on a row that also fails the full parse is rejected
+// for that failure, as the reader rejects it (it checks every column before
+// the id). FaultInjector's additive faults emit exactly such rows: a
+// corrupted copy right after its original.
+TEST(SpanIngest, RepeatedIdWithAColumnDefectIsRejectedForTheDefect) {
+  const auto& attacks = ::ddos::testing::SmallDataset().attacks();
+  std::ostringstream out;
+  data::WriteAttacksCsv(out, std::span(attacks.data(), 30));
+  std::ostringstream row;
+  data::WriteAttackCsvRow(row, attacks[3]);
+  out << WithUnknownFamily(row.str());  // repeat + bad family
+  out << row.str();                     // plain repeat
+  // Torn final line: the repeat cut before its magnitude, no newline.
+  out << row.str().substr(0, row.str().rfind(',') + 1);
+  const std::string text = out.str();
+
+  const ReaderRun reference = RunReader(text);
+  EXPECT_EQ(reference.report.count(data::IngestErrorKind::kUnparseableNumber),
+            1u);
+  EXPECT_EQ(reference.report.count(data::IngestErrorKind::kDuplicateId), 1u);
+  EXPECT_EQ(reference.report.count(data::IngestErrorKind::kTruncatedLine), 1u);
+  for (const std::size_t shards : {1u, 2u, 8u}) {
+    SCOPED_TRACE(shards);
+    const SpanRun run = RunSpans(text, shards);
+    EXPECT_EQ(run.records, reference.records);
+    EXPECT_EQ(run.report.counts, reference.report.counts);
+    EXPECT_EQ(run.quarantine, reference.quarantine);
+  }
+}
+
+// Under kStrict the earliest bad line aborts the run, as in the reader,
+// even when it is worker-detected and a router-detected defect follows
+// while the earlier line may still sit unparsed in a ring.
+TEST(SpanIngest, StrictAbortNamesAnEarlierWorkerDefectBeforeALaterRouterOne) {
+  const auto& attacks = ::ddos::testing::SmallDataset().attacks();
+  std::ostringstream out;
+  data::WriteAttacksCsv(out, std::span(attacks.data(), 20));
+  std::ostringstream row;
+  data::WriteAttackCsvRow(row, attacks[20]);
+  out << WithUnknownFamily(row.str());    // line 22: worker-detected
+  out << "only,five,fields,in,total\n";  // line 23: router-detected
+  for (std::size_t i = 21; i < 40; ++i) {
+    std::ostringstream r;
+    data::WriteAttackCsvRow(r, attacks[i]);
+    out << r.str();
+  }
+  const std::string text = out.str();
+
+  std::string reader_message;
+  try {
+    std::istringstream in(text);
+    data::AttackCsvReader reader(in);
+    data::AttackRecord a;
+    while (reader.Next(&a)) {
+    }
+    FAIL();
+  } catch (const std::runtime_error& e) {
+    reader_message = e.what();
+  }
+  ASSERT_NE(reader_message.find("at line 22"), std::string::npos);
+
+  for (const std::size_t shards : {1u, 2u, 8u}) {
+    SCOPED_TRACE(shards);
+    ShardedStreamEngineConfig config;
+    config.shards = shards;
+    ShardedStreamEngine engine(config);
+    data::LineSpanScanner scanner(text);
+    data::LineSpan span;
+    std::string span_message;
+    try {
+      while (scanner.Next(&span)) {
+        if (span.line_no == 1) continue;
+        engine.PushLine(span.text, span.line_no, span.saw_newline);
+      }
+      engine.Finish();
+      FAIL() << "span path accepted the feed";
+    } catch (const std::runtime_error& e) {
+      span_message = e.what();
+    }
+    EXPECT_EQ(span_message, reader_message);
+  }
+}
+
 TEST(SpanIngest, StrictWorkerDetectedDefectThrowsForTheEarliestLine) {
   // A feed whose ONLY defect is worker-detected (bad family passes the
   // router pre-scan), so the throw must come from the fatal-flag path.

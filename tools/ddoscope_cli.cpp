@@ -104,6 +104,7 @@
 #include <iostream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -522,6 +523,124 @@ bool OpenGeoFlag(const std::map<std::string, std::string>& flags,
   return true;
 }
 
+// The `watch` source. A CSV file read by more than one shard is
+// memory-mapped and routed as raw line spans that the shards parse
+// (stream/sharded.h); the mapping outlives the engine's barriers, so spans
+// stay addressable while any worker can hold one. stdin, a single engine
+// and --input-format bin read parsed records from AttackCsvReader or
+// BinaryRecordReader instead. The ingest loop sees only Next, Resume, Meta
+// and the error accessors.
+class WatchFeed {
+ public:
+  WatchFeed(const std::string& path, bool binary, bool spans,
+            const data::ParseOptions& options)
+      : from_stdin_(path == "-") {
+    if (spans) {
+      map_ = io::MmapFile::Open(path);
+      scanner_.emplace(map_.view());
+    } else if (binary) {
+      bin_ = from_stdin_ ? std::make_unique<data::BinaryRecordReader>(std::cin)
+                         : std::make_unique<data::BinaryRecordReader>(path);
+    } else {
+      csv_ = from_stdin_
+                 ? std::make_unique<data::AttackCsvReader>(std::cin, options)
+                 : std::make_unique<data::AttackCsvReader>(path, options);
+    }
+  }
+
+  bool spans() const { return scanner_.has_value(); }
+  // A span feed's rows are parsed, counted and tallied inside this engine.
+  void RouteSpansTo(stream::ShardedStreamEngine* engine) { spans_to_ = engine; }
+
+  // Feeds the next row to `engine` (spans go to the RouteSpansTo engine,
+  // the same one); false at the end of the feed.
+  template <typename Engine>
+  bool Next(Engine& engine) {
+    if (spans_to_ != nullptr) {
+      data::LineSpan span;
+      do {
+        if (!scanner_->Next(&span)) return false;
+      } while (span.line_no == 1);  // header row
+      spans_to_->PushLine(span.text, span.line_no, span.saw_newline);
+      return true;
+    }
+    if (!(csv_ != nullptr ? csv_->Next(&record_) : bin_->Next(&record_))) {
+      return false;
+    }
+    engine.Push(record_);
+    return true;
+  }
+
+  // Skips the region a resumed checkpoint already consumed and seeds its
+  // error tallies, which the feed then reports as its own. A span feed
+  // seeks to the byte offset. stdin has no seekable line positions - the
+  // pipe replays the feed from its start - so resume there counts records
+  // instead, as does binary input (whole skipped blocks are elided).
+  void Resume(const stream::CheckpointMeta& meta) {
+    if (spans_to_ != nullptr) {
+      spans_to_->SeedErrors(meta.errors);
+      scanner_->SeekTo(meta.source_offset, meta.source_line);
+    } else if (bin_ != nullptr) {
+      bin_->SkipRecords(meta.records);
+      carried_errors_ = meta.errors;  // binary input rejects no rows itself
+    } else {
+      if (from_stdin_) {
+        csv_->ResumeAtRecords(meta.records);
+      } else {
+        csv_->ResumeAt(meta.source_line, meta.records);
+      }
+      csv_->SeedErrors(meta.errors);
+    }
+  }
+
+  // The feed position and tallies to checkpoint. On a span feed this takes
+  // a barrier, so the counts are exact at the scanner's line.
+  stream::CheckpointMeta Meta() {
+    stream::CheckpointMeta meta;
+    if (spans_to_ != nullptr) {
+      meta.records = spans_to_->ParsedRecords();
+      meta.source_line = scanner_->line_number();
+      meta.source_offset = scanner_->offset();
+    } else {
+      meta.records =
+          csv_ != nullptr ? csv_->records_read() : bin_->records_read();
+      meta.source_line = csv_ != nullptr ? csv_->line_number() : 0;
+    }
+    meta.errors = Errors();
+    return meta;
+  }
+
+  data::IngestErrorReport Errors() {
+    if (spans_to_ != nullptr) return spans_to_->ErrorReport();
+    return csv_ != nullptr ? csv_->error_report() : carried_errors_;
+  }
+  // The live ticker's count; lock-free on a span feed.
+  std::uint64_t ErrorTotal() {
+    return spans_to_ != nullptr ? spans_to_->ApproxErrorTotal()
+                                : Errors().total();
+  }
+
+  // The record readers quarantine rows as they reject them. A span feed's
+  // rejections, router- and worker-detected, come back from the shards
+  // merged and sorted by line, so the file is byte-identical for any K.
+  void Quarantine(data::QuarantineWriter* quarantine) {
+    if (spans_to_ == nullptr) return;
+    for (const data::IngestError& e : spans_to_->DrainErrors()) {
+      quarantine->Write(e);
+    }
+  }
+
+ private:
+  bool from_stdin_;
+  io::MmapFile map_;
+  std::optional<data::LineSpanScanner> scanner_;
+  stream::ShardedStreamEngine* spans_to_ = nullptr;
+  std::unique_ptr<data::AttackCsvReader> csv_;
+  std::unique_ptr<data::BinaryRecordReader> bin_;
+  data::IngestErrorReport carried_errors_;
+  data::AttackRecord record_;
+};
+
 int CmdWatch(const std::string& path,
              const std::map<std::string, std::string>& flags) {
   std::int64_t window_hours = 24;
@@ -599,11 +718,6 @@ int CmdWatch(const std::string& path,
   if (!OpenGeoFlag(flags, "watch", &geo_db)) return 2;
   // `-` tails stdin, the ROADMAP's tail -f / pipe source.
   const bool from_stdin = path == "-";
-  // Parse-in-shard span ingest needs a stable, seekable byte source: a
-  // sharded run over an on-disk CSV memory-maps the feed and routes raw
-  // line spans (stream/sharded.h). stdin and binary input keep the
-  // parsed-record router.
-  const bool span_path = shards > 1 && !binary_input && !from_stdin;
 
   // Observability: any of the three flags arms the registry; the reader and
   // engines then resolve their handles at attach time and the per-record
@@ -629,88 +743,18 @@ int CmdWatch(const std::string& path,
                                  : std::make_unique<obs::TraceRecorder>();
   parse_options.metrics = metrics_registry.get();
 
-  // Record sources for the parsed-record paths. The span path maps the
-  // file instead and never materializes records on the router, so neither
-  // reader is constructed there.
-  std::unique_ptr<data::AttackCsvReader> csv_reader;
-  std::unique_ptr<data::BinaryRecordReader> bin_reader;
-  if (!span_path) {
-    if (binary_input) {
-      bin_reader = from_stdin
-                       ? std::make_unique<data::BinaryRecordReader>(std::cin)
-                       : std::make_unique<data::BinaryRecordReader>(path);
-    } else {
-      csv_reader = from_stdin ? std::make_unique<data::AttackCsvReader>(
-                                    std::cin, parse_options)
-                              : std::make_unique<data::AttackCsvReader>(
-                                    path, parse_options);
-    }
+  WatchFeed feed(path, binary_input,
+                 /*spans=*/shards > 1 && !binary_input && !from_stdin,
+                 parse_options);
+
+  // The one restore step: ReadShardedCheckpoint reads every version, and
+  // the requested contract (and window) come from the file, not the flags.
+  std::optional<stream::ShardedCheckpointState> restored;
+  if (resume) {
+    restored = stream::ReadShardedCheckpoint(checkpoint_path);
+    config = stream::RequestedEngineConfig(*restored);
+    window_hours = config.rolling_window_s / kSecondsPerHour;
   }
-  // Binary input has no parse errors of its own (corruption throws a typed
-  // BinaryFormatError); a resumed checkpoint's tallies are carried forward
-  // here so re-checkpointing does not lose them.
-  data::IngestErrorReport carried_errors;
-  const auto next_record = [&](data::AttackRecord* out) {
-    return csv_reader != nullptr ? csv_reader->Next(out)
-                                 : bin_reader->Next(out);
-  };
-  const auto source_records = [&]() -> std::uint64_t {
-    if (csv_reader != nullptr) return csv_reader->records_read();
-    return bin_reader != nullptr ? bin_reader->records_read() : 0;
-  };
-  const auto source_errors = [&]() -> data::IngestErrorReport {
-    return csv_reader != nullptr ? csv_reader->error_report()
-                                 : carried_errors;
-  };
-
-  // Skips the feed region a resumed checkpoint already consumed. stdin has
-  // no seekable line positions to fast-forward through - the pipe replays
-  // the feed from its start - so resume there counts records instead, as
-  // does binary input (whole skipped blocks are elided, not decoded).
-  // SeedErrors afterwards folds the checkpointed error tallies into the
-  // reader, which is the single source of truth from here on: the error
-  // report, the checkpoint meta, and the obs error counters all read (or
-  // feed from) the same reader-side tallies, so none can drift apart.
-  const auto resume_reader = [&](const stream::CheckpointMeta& meta) {
-    if (bin_reader != nullptr) {
-      bin_reader->SkipRecords(meta.records);
-      carried_errors = meta.errors;
-    } else if (from_stdin) {
-      csv_reader->ResumeAtRecords(meta.records);
-      csv_reader->SeedErrors(meta.errors);
-    } else {
-      csv_reader->ResumeAt(meta.source_line, meta.records);
-      csv_reader->SeedErrors(meta.errors);
-    }
-    std::printf("resumed from %s: %llu records, source line %llu\n",
-                checkpoint_path.c_str(),
-                static_cast<unsigned long long>(meta.records),
-                static_cast<unsigned long long>(meta.source_line));
-  };
-
-  stream::CheckpointMeta resumed;
-  const auto print_error_report = [&] {
-    const data::IngestErrorReport report = source_errors();
-    if (report.total() > 0) {
-      std::printf("%llu malformed rows rejected:\n%s",
-                  static_cast<unsigned long long>(report.total()),
-                  report.ToString().c_str());
-      if (quarantine != nullptr) {
-        // Publish the staged .tmp at its final path before naming it; a
-        // write/rename failure throws instead of leaving debris behind.
-        quarantine->Close();
-        std::printf("quarantined %zu rows to %s\n", quarantine->written(),
-                    quarantine_path.c_str());
-      }
-    }
-  };
-  const auto checkpoint_meta = [&] {
-    stream::CheckpointMeta meta;
-    meta.records = source_records();
-    meta.source_line = csv_reader != nullptr ? csv_reader->line_number() : 0;
-    meta.errors = source_errors();
-    return meta;
-  };
 
   // Periodic one-line health ticker (--stats-interval). The clock is only
   // consulted every 256 records, so an idle-feed line can arrive up to one
@@ -722,9 +766,8 @@ int CmdWatch(const std::string& path,
   SteadyClock::time_point stats_next = stats_last + stats_period;
   const SteadyClock::time_point stats_epoch = stats_last;
   std::uint64_t stats_last_records = 0;
-  // `records` is the caller's progress counter (parsed records, or routed
-  // lines on the span path); errors_total/memory_bytes are deferred so the
-  // per-record cost stays one mask test.
+  // errors_total/memory_bytes are deferred so the per-record cost stays one
+  // mask test.
   const auto maybe_print_stats = [&](std::uint64_t records,
                                      auto&& errors_total,
                                      auto&& memory_bytes) {
@@ -758,8 +801,69 @@ int CmdWatch(const std::string& path,
     PrintWatchSnapshot(snap, final_view, window_hours);
   };
 
-  // End-of-run exposition: the Prometheus/JSON dump and the Chrome trace.
-  const auto finalize_obs = [&] {
+  // The one ingest loop and end of run, for either engine. The ticker,
+  // --every snapshots and --checkpoint-every checkpoints key on
+  // attacks_seen(): records pushed on the record paths, lines routed past
+  // the router's checks on the span path, where a blank or rejected line
+  // leaves it unchanged and must not fire the same view twice.
+  const auto run = [&](auto& engine, const auto& save_checkpoint) {
+    if (restored.has_value()) {
+      const stream::CheckpointMeta& meta = restored->meta;
+      feed.Resume(meta);
+      std::printf("resumed from %s: %llu records, source line %llu%s\n",
+                  checkpoint_path.c_str(),
+                  static_cast<unsigned long long>(meta.records),
+                  static_cast<unsigned long long>(meta.source_line),
+                  feed.spans()
+                      ? StrFormat(" (offset %llu)",
+                                  static_cast<unsigned long long>(
+                                      meta.source_offset))
+                            .c_str()
+                      : "");
+    }
+    {
+      DDOS_TRACE_SPAN(trace.get(), "ingest", "cli");
+      std::uint64_t last_seen = engine.attacks_seen();
+      while (feed.Next(engine)) {
+        const std::uint64_t seen = engine.attacks_seen();
+        maybe_print_stats(seen, [&] { return feed.ErrorTotal(); },
+                          [&] { return engine.ApproxMemoryBytes(); });
+        if (seen == last_seen) continue;
+        last_seen = seen;
+        if (every > 0 && seen % every == 0) {
+          show_snapshot(engine.Snapshot(), false);
+        }
+        if (!checkpoint_path.empty() && checkpoint_every > 0 &&
+            seen % checkpoint_every == 0) {
+          save_checkpoint(feed.Meta());
+        }
+      }
+    }
+    // Final checkpoint before Finish(): Finish sweeps pending collaboration
+    // groups, and a checkpoint taken afterwards could not regroup attacks
+    // spanning the end of this feed on a later resume.
+    if (!checkpoint_path.empty()) save_checkpoint(feed.Meta());
+    engine.Finish();  // surfaces a pending kStrict worker rejection
+    const data::IngestErrorReport report = feed.Errors();
+    if (report.total() > 0) {
+      std::printf("%llu malformed rows rejected:\n%s",
+                  static_cast<unsigned long long>(report.total()),
+                  report.ToString().c_str());
+      if (quarantine != nullptr) {
+        feed.Quarantine(quarantine.get());
+        // Publish the staged .tmp at its final path before naming it; a
+        // write/rename failure throws instead of leaving debris behind.
+        quarantine->Close();
+        std::printf("quarantined %zu rows to %s\n", quarantine->written(),
+                    quarantine_path.c_str());
+      }
+    }
+    if (engine.attacks_seen() == 0) {
+      std::printf("no attacks in %s\n", from_stdin ? "stdin" : path.c_str());
+    } else {
+      show_snapshot(engine.Snapshot(), true);
+    }
+    // End-of-run exposition: the Prometheus/JSON dump and the Chrome trace.
     if (!metrics_out.empty()) {
       obs::WriteMetricsFiles(metrics_out, metrics_registry->Snapshot());
       std::printf("metrics written to %s (and %s.json)\n", metrics_out.c_str(),
@@ -772,223 +876,51 @@ int CmdWatch(const std::string& path,
                   static_cast<unsigned long long>(trace->recorded()),
                   static_cast<unsigned long long>(trace->dropped()));
     }
+    return 0;
   };
 
-  if (span_path) {
-    // Parse-in-shard ingest: mmap the feed, route raw line spans, parse
-    // inside each shard. The mapping outlives the engine's barriers, so
-    // spans stay addressable for as long as any worker can hold one.
-    stream::ShardedStreamEngineConfig sharded_config;
-    sharded_config.shards = shards;
-    sharded_config.engine = config;
-    sharded_config.metrics = metrics_registry.get();
-    sharded_config.trace = trace.get();
-    sharded_config.parse = parse_options;
-    sharded_config.parse.quarantine = nullptr;  // drained in line order below
-    sharded_config.geo = geo_db.get();
-    io::MmapFile feed = io::MmapFile::Open(path);
-    data::LineSpanScanner scanner(feed.view());
-    std::unique_ptr<stream::ShardedStreamEngine> engine;
-    if (resume) {
-      stream::ShardedCheckpointState state =
-          stream::ReadShardedCheckpoint(checkpoint_path);
-      resumed = state.meta;
-      stream::StreamEngineConfig restored = state.engines.front().config();
-      if (state.engines.size() > 1) restored.quantile_epsilon *= 2.0;
-      sharded_config.engine = restored;
-      window_hours = restored.rolling_window_s / kSecondsPerHour;
-      engine = std::make_unique<stream::ShardedStreamEngine>(sharded_config);
-      engine->RestoreFrom(state);
-      engine->SeedErrors(resumed.errors);
-      // Span-offset resume: seek straight to the first unconsumed byte
-      // instead of re-scanning (or re-parsing) the consumed prefix.
-      scanner.SeekTo(resumed.source_offset, resumed.source_line);
-      std::printf(
-          "resumed from %s: %llu records, source line %llu (offset %llu)\n",
-          checkpoint_path.c_str(),
-          static_cast<unsigned long long>(resumed.records),
-          static_cast<unsigned long long>(resumed.source_line),
-          static_cast<unsigned long long>(resumed.source_offset));
-    } else {
-      engine = std::make_unique<stream::ShardedStreamEngine>(sharded_config);
+  // K = 1 runs StreamEngine on the caller's thread: the threaded sharded
+  // engine at K = 1 costs twice the CPU per record, and its merge into an
+  // empty engine recompresses the quantile sketches. It writes version-3
+  // (single-engine) checkpoints; a multi-section checkpoint folds into it.
+  if (shards == 1) {
+    stream::StreamEngine engine =
+        restored.has_value()
+            ? stream::MergeSections(std::move(restored->engines))
+            : stream::StreamEngine(config);
+    // A deserialized engine starts unattached, and enrichment is never
+    // checkpointed, so both arm after the restore.
+    if (geo_db != nullptr) engine.EnableGeo(geo_db.get());
+    if (metrics_registry != nullptr) {
+      engine.AttachMetrics(metrics_registry.get(), "0");
     }
-    const auto span_meta = [&] {
-      stream::CheckpointMeta meta;
-      meta.records = engine->ParsedRecords();  // barrier: exact at this line
-      meta.source_line = scanner.line_number();
-      meta.source_offset = scanner.offset();
-      meta.errors = engine->ErrorReport();
-      return meta;
-    };
-    data::LineSpan span;
-    {
-      DDOS_TRACE_SPAN(trace.get(), "ingest", "cli");
-      while (scanner.Next(&span)) {
-        if (span.line_no == 1) continue;  // header row
-        engine->PushLine(span.text, span.line_no, span.saw_newline);
-        maybe_print_stats(engine->attacks_seen(),
-                          [&] { return engine->ApproxErrorTotal(); },
-                          [&] { return engine->ApproxMemoryBytes(); });
-        if (every > 0 && engine->attacks_seen() > 0 &&
-            engine->attacks_seen() % every == 0) {
-          show_snapshot(engine->Snapshot(), false);
-        }
-        if (!checkpoint_path.empty() && checkpoint_every > 0 &&
-            engine->attacks_seen() > 0 &&
-            engine->attacks_seen() % checkpoint_every == 0) {
-          engine->SaveCheckpoint(checkpoint_path, span_meta());
-        }
-      }
-    }
-    if (!checkpoint_path.empty()) {
-      engine->SaveCheckpoint(checkpoint_path, span_meta());
-    }
-    engine->Finish();  // surfaces a pending kStrict worker rejection
-    const data::IngestErrorReport report = engine->ErrorReport();
-    if (report.total() > 0) {
-      std::printf("%llu malformed rows rejected:\n%s",
-                  static_cast<unsigned long long>(report.total()),
-                  report.ToString().c_str());
-      if (quarantine != nullptr) {
-        // Router- and worker-detected rejections, merged and sorted by
-        // line: the quarantine file is byte-identical for any shard count.
-        for (const data::IngestError& e : engine->DrainErrors()) {
-          quarantine->Write(e);
-        }
-        quarantine->Close();
-        std::printf("quarantined %zu rows to %s\n", quarantine->written(),
-                    quarantine_path.c_str());
-      }
-    }
-    if (engine->attacks_seen() == 0) {
-      std::printf("no attacks in %s\n", path.c_str());
-      finalize_obs();
-      return 0;
-    }
-    show_snapshot(engine->Snapshot(), true);
-    finalize_obs();
-    return 0;
+    obs::Histogram* checkpoint_hist =
+        metrics_registry == nullptr
+            ? nullptr
+            : metrics_registry->GetHistogram(
+                  "ddoscope_stream_checkpoint_seconds",
+                  "Latency of a single-engine checkpoint write",
+                  obs::ExponentialBounds(1e-4, 4.0, 12));
+    return run(engine, [&](const stream::CheckpointMeta& meta) {
+      obs::SpanTimer span(trace.get(), checkpoint_hist, "checkpoint", "cli");
+      stream::WriteCheckpoint(checkpoint_path, engine, meta);
+    });
   }
 
-  if (shards > 1) {
-    stream::ShardedStreamEngineConfig sharded_config;
-    sharded_config.shards = shards;
-    sharded_config.engine = config;
-    sharded_config.metrics = metrics_registry.get();
-    sharded_config.trace = trace.get();
-    sharded_config.geo = geo_db.get();
-    std::unique_ptr<stream::ShardedStreamEngine> engine;
-    if (resume) {
-      stream::ShardedCheckpointState state =
-          stream::ReadShardedCheckpoint(checkpoint_path);
-      resumed = state.meta;
-      // Reconstruct the requested contract from a section's config (the
-      // sections of a multi-shard checkpoint run at half epsilon).
-      stream::StreamEngineConfig restored = state.engines.front().config();
-      if (state.engines.size() > 1) restored.quantile_epsilon *= 2.0;
-      sharded_config.engine = restored;
-      window_hours = restored.rolling_window_s / kSecondsPerHour;
-      engine = std::make_unique<stream::ShardedStreamEngine>(sharded_config);
-      engine->RestoreFrom(state);
-      resume_reader(resumed);
-    } else {
-      engine = std::make_unique<stream::ShardedStreamEngine>(sharded_config);
-    }
-
-    data::AttackRecord attack;
-    {
-      DDOS_TRACE_SPAN(trace.get(), "ingest", "cli");
-      while (next_record(&attack)) {
-        engine->Push(attack);
-        maybe_print_stats(source_records(),
-                          [&] { return source_errors().total(); },
-                          [&] { return engine->ApproxMemoryBytes(); });
-        if (every > 0 && engine->attacks_seen() % every == 0) {
-          show_snapshot(engine->Snapshot(), false);
-        }
-        if (!checkpoint_path.empty() && checkpoint_every > 0 &&
-            source_records() % checkpoint_every == 0) {
-          engine->SaveCheckpoint(checkpoint_path, checkpoint_meta());
-        }
-      }
-    }
-    // Final checkpoint before Finish(): Finish sweeps pending collaboration
-    // groups, and a checkpoint taken afterwards could not regroup attacks
-    // spanning the end of this feed on a later resume.
-    if (!checkpoint_path.empty()) {
-      engine->SaveCheckpoint(checkpoint_path, checkpoint_meta());
-    }
-    engine->Finish();
-    print_error_report();
-    if (engine->attacks_seen() == 0) {
-      std::printf("no attacks in %s\n", from_stdin ? "stdin" : path.c_str());
-      finalize_obs();
-      return 0;
-    }
-    show_snapshot(engine->Snapshot(), true);
-    finalize_obs();
-    return 0;
-  }
-
-  stream::StreamEngine engine(config);
-  if (resume) {
-    engine = stream::ReadCheckpoint(checkpoint_path, &resumed);
-    // The engine (and its config) come from the checkpoint; skip the
-    // already-consumed region of the feed.
-    window_hours = engine.config().rolling_window_s / kSecondsPerHour;
-    resume_reader(resumed);
-  }
-  // After the resume branch: a deserialized engine starts unattached (and
-  // enrichment is never checkpointed), so both re-arm here; a pre-resume
-  // call would be overwritten by the assignment above.
-  if (geo_db != nullptr) {
-    engine.EnableGeo(geo_db.get());
-  }
-  if (metrics_registry != nullptr) {
-    engine.AttachMetrics(metrics_registry.get(), "0");
-  }
-  obs::Histogram* checkpoint_hist =
-      metrics_registry == nullptr
-          ? nullptr
-          : metrics_registry->GetHistogram(
-                "ddoscope_stream_checkpoint_seconds",
-                "Latency of a single-engine checkpoint write",
-                obs::ExponentialBounds(1e-4, 4.0, 12));
-
-  data::AttackRecord attack;
-  {
-    DDOS_TRACE_SPAN(trace.get(), "ingest", "cli");
-    while (next_record(&attack)) {
-      engine.Push(attack);
-      maybe_print_stats(source_records(),
-                        [&] { return source_errors().total(); },
-                        [&] { return engine.ApproxMemoryBytes(); });
-      if (every > 0 && engine.attacks_seen() % every == 0) {
-        show_snapshot(engine.Snapshot(), false);
-      }
-      if (!checkpoint_path.empty() && checkpoint_every > 0 &&
-          source_records() % checkpoint_every == 0) {
-        obs::SpanTimer span(trace.get(), checkpoint_hist, "checkpoint", "cli");
-        stream::WriteCheckpoint(checkpoint_path, engine, checkpoint_meta());
-      }
-    }
-  }
-  // Before Finish(), for the same reason as the sharded path above.
-  if (!checkpoint_path.empty()) {
-    obs::SpanTimer span(trace.get(), checkpoint_hist, "checkpoint", "cli");
-    stream::WriteCheckpoint(checkpoint_path, engine, checkpoint_meta());
-  }
-  engine.Finish();
-
-  print_error_report();
-  if (engine.attacks_seen() == 0) {
-    std::printf("no attacks in %s\n", from_stdin ? "stdin" : path.c_str());
-    finalize_obs();
-    return 0;
-  }
-  show_snapshot(engine.Snapshot(), true);
-  finalize_obs();
-  return 0;
+  stream::ShardedStreamEngineConfig sharded_config;
+  sharded_config.shards = shards;
+  sharded_config.engine = config;
+  sharded_config.metrics = metrics_registry.get();
+  sharded_config.trace = trace.get();
+  sharded_config.geo = geo_db.get();
+  sharded_config.parse = parse_options;
+  sharded_config.parse.quarantine = nullptr;  // WatchFeed::Quarantine
+  stream::ShardedStreamEngine engine(sharded_config);
+  if (restored.has_value()) engine.RestoreFrom(*restored);
+  if (feed.spans()) feed.RouteSpansTo(&engine);
+  return run(engine, [&](const stream::CheckpointMeta& meta) {
+    engine.SaveCheckpoint(checkpoint_path, meta);  // version 4, timed inside
+  });
 }
 
 int CmdBatch(const std::string& path,
