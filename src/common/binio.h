@@ -68,6 +68,20 @@ inline std::int64_t ReadI64(std::istream& in) {
   return static_cast<std::int64_t>(ReadU64(in));
 }
 
+// A stored second count (timestamp, duration, window). The bound, about
+// 35,000 years either way, is far past any real value and keeps sums and
+// differences of a few decoded values inside int64: a corrupt field throws
+// here instead of overflowing in later arithmetic.
+inline constexpr std::int64_t kMaxStoredSeconds = std::int64_t{1} << 40;
+
+inline std::int64_t ReadSeconds(std::istream& in) {
+  const std::int64_t v = ReadI64(in);
+  if (v < -kMaxStoredSeconds || v > kMaxStoredSeconds) {
+    throw std::runtime_error("binio: second count out of range");
+  }
+  return v;
+}
+
 inline void WriteF64(std::ostream& out, double v) {
   WriteU64(out, std::bit_cast<std::uint64_t>(v));
 }

@@ -479,12 +479,7 @@ std::uint64_t ConvertAttacksCsvToBinary(const std::string& csv_path,
   AttackRecord record;
   while (reader.Next(&record)) writer.Write(record);
   writer.Close();
-  if (report != nullptr) {
-    for (int k = 0; k < kIngestErrorKindCount; ++k) {
-      report->counts[static_cast<std::size_t>(k)] +=
-          reader.error_report().counts[static_cast<std::size_t>(k)];
-    }
-  }
+  if (report != nullptr) report->Merge(reader.error_report());
   return writer.written();
 }
 

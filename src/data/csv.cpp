@@ -292,22 +292,22 @@ std::vector<AttackRecord> ReadAttacksCsv(std::istream& in, ParseOptions options,
   AttackCsvReader reader(in, options);
   AttackRecord a;
   while (reader.Next(&a)) out.push_back(std::move(a));
-  if (report != nullptr) {
-    for (int k = 0; k < kIngestErrorKindCount; ++k) {
-      report->counts[static_cast<std::size_t>(k)] +=
-          reader.error_report().counts[static_cast<std::size_t>(k)];
-    }
-  }
+  if (report != nullptr) report->Merge(reader.error_report());
   return out;
 }
 
 AttackCsvReader::AttackCsvReader(std::istream& in, ParseOptions options)
-    : in_(&in), options_(options) {
+    : in_(&in),
+      options_(options),
+      dedupe_(options.policy != ParsePolicy::kStrict) {
   ResolveMetrics();
 }
 
 AttackCsvReader::AttackCsvReader(const std::string& path, ParseOptions options)
-    : file_(path), in_(&file_), options_(options) {
+    : file_(path),
+      in_(&file_),
+      options_(options),
+      dedupe_(options.policy != ParsePolicy::kStrict) {
   if (!file_) throw std::runtime_error("AttackCsvReader: cannot open " + path);
   ResolveMetrics();
 }
@@ -357,8 +357,7 @@ bool AttackCsvReader::Next(AttackRecord* out) {
         err.detail = "stream ended mid-record (" + err.detail + ")";
       }
     }
-    if (ok && options_.detect_duplicate_ids &&
-        !seen_ids_.insert(out->ddos_id).second) {
+    if (ok && dedupe_ && !seen_ids_.Insert(out->ddos_id)) {
       ok = false;
       err.kind = IngestErrorKind::kDuplicateId;
       err.detail =
@@ -419,11 +418,14 @@ void AttackCsvReader::ResumeAtRecords(std::size_t records) {
   report_ = IngestErrorReport{};
 }
 
+void AttackCsvReader::SeedSeenIds(common::IdSet ids) {
+  if (dedupe_) seen_ids_ = std::move(ids);
+}
+
 void AttackCsvReader::SeedErrors(const IngestErrorReport& errors) {
-  for (int k = 0; k < kIngestErrorKindCount; ++k) {
-    const auto idx = static_cast<std::size_t>(k);
-    report_.counts[idx] += errors.counts[idx];
-    obs::MaybeAdd(obs_errors_[idx], errors.counts[idx]);
+  report_.Merge(errors);
+  for (std::size_t k = 0; k < errors.counts.size(); ++k) {
+    obs::MaybeAdd(obs_errors_[k], errors.counts[k]);
   }
 }
 

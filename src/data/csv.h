@@ -30,9 +30,9 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_set>
 #include <vector>
 
+#include "common/id_set.h"
 #include "data/dataset.h"
 #include "data/ingest_error.h"
 #include "obs/metrics.h"
@@ -118,7 +118,10 @@ void WriteAttackCsvRow(std::ostream& out, const AttackRecord& a);
 bool ReadCsvLine(std::istream& in, std::string* line);
 bool ReadCsvLine(std::istream& in, std::string* line, bool* saw_newline);
 
-// How AttackCsvReader reacts to malformed rows.
+// How AttackCsvReader reacts to malformed rows. Under kSkip and kQuarantine
+// a reader also rejects a row whose ddos_id it already ingested
+// (kDuplicateId), keeping one row per attack; kStrict trusts its file and
+// keeps no id set.
 struct ParseOptions {
   ParsePolicy policy = ParsePolicy::kStrict;
   // Receives every rejected raw line when policy == kQuarantine. Owned by
@@ -127,10 +130,6 @@ struct ParseOptions {
   // Rows longer than this are rejected as kTruncatedLine instead of being
   // buffered without bound (defense against binary garbage on the feed).
   std::size_t max_line_bytes = 1 << 20;
-  // Reject rows whose ddos_id was already ingested (kDuplicateId). Costs
-  // one hash-set entry per record, so it is off under kStrict by default
-  // to preserve the reader's constant-memory contract for trusted files.
-  bool detect_duplicate_ids = false;
   // When non-null the reader publishes ddoscope_ingest_* counters (records,
   // bytes, errors by kind) here. Handles are resolved once at construction;
   // the per-row cost is a relaxed atomic add (obs/metrics.h). Owned by the
@@ -141,14 +140,12 @@ struct ParseOptions {
   static ParseOptions Skip() {
     ParseOptions o;
     o.policy = ParsePolicy::kSkip;
-    o.detect_duplicate_ids = true;
     return o;
   }
   static ParseOptions Quarantine(QuarantineWriter* writer) {
     ParseOptions o;
     o.policy = ParsePolicy::kQuarantine;
     o.quarantine = writer;
-    o.detect_duplicate_ids = true;
     return o;
   }
 };
@@ -182,8 +179,14 @@ class AttackCsvReader {
   // this cannot skip by raw line, so it re-parses the region - but it works
   // on a pipe, where the pre-checkpoint bytes arrive again only because the
   // producer replays them. Errors in the replayed region were reported by
-  // the pre-crash run and are suppressed, not re-reported.
+  // the pre-crash run and are suppressed, not re-reported. The replay
+  // rebuilds the seen-id set, so it needs no SeedSeenIds.
   void ResumeAtRecords(std::size_t records);
+
+  // Restores the ids a checkpointed predecessor ingested, so a row after
+  // the resume point repeating one of them is still a kDuplicateId. Call
+  // after ResumeAt; a no-op under kStrict.
+  void SeedSeenIds(common::IdSet ids);
 
   // Folds a checkpointed predecessor's error tallies into error_report()
   // (and the attached obs counters), making the reader the single source of
@@ -195,6 +198,9 @@ class AttackCsvReader {
   std::size_t records_read() const { return records_; }
   std::size_t line_number() const { return line_no_; }
   const IngestErrorReport& error_report() const { return report_; }
+  // The ddos_ids ingested so far (empty under kStrict) - what a checkpoint
+  // saves for SeedSeenIds.
+  const common::IdSet& seen_ids() const { return seen_ids_; }
 
  private:
   void ResolveMetrics();
@@ -202,8 +208,11 @@ class AttackCsvReader {
   std::ifstream file_;  // engaged only by the path constructor
   std::istream* in_;
   ParseOptions options_;
+  // Fixed by the policy at construction: ResumeAtRecords replays under a
+  // temporary kSkip, and a strict reader must not start deduping then.
+  bool dedupe_;
   IngestErrorReport report_;
-  std::unordered_set<std::uint64_t> seen_ids_;  // engaged by dedupe option
+  common::IdSet seen_ids_;
   std::size_t line_no_ = 0;
   std::size_t records_ = 0;
   bool header_skipped_ = false;

@@ -71,6 +71,10 @@ struct IngestErrorReport {
   std::uint64_t count(IngestErrorKind kind) const {
     return counts[static_cast<std::size_t>(kind)];
   }
+  // Adds `other`'s tally of every kind to this one.
+  void Merge(const IngestErrorReport& other) {
+    for (std::size_t k = 0; k < counts.size(); ++k) counts[k] += other.counts[k];
+  }
   std::uint64_t total() const {
     std::uint64_t t = 0;
     for (const std::uint64_t c : counts) t += c;

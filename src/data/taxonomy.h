@@ -53,6 +53,13 @@ std::span<const Family> ActiveFamilies();
 // All 23 families.
 std::span<const Family> AllFamilies();
 
+// The family whose enum value is `index`; nullopt past the last one, so a
+// decoder of stored state never casts an out-of-range value into a Family.
+inline std::optional<Family> FamilyFromIndex(std::uint32_t index) {
+  if (index >= static_cast<std::uint32_t>(kFamilyCount)) return std::nullopt;
+  return static_cast<Family>(index);
+}
+
 std::string_view FamilyName(Family f);
 // Case-insensitive for ASCII letters only (EqualsIgnoreCase).
 std::optional<Family> ParseFamily(std::string_view name);

@@ -120,8 +120,7 @@ IngestProtocol::LineResult IngestProtocol::OnLine(const std::string& line,
     Reject(err.kind);
     return result;
   }
-  if (limits_.detect_duplicate_ids &&
-      !seen_ids_.insert(record->ddos_id).second) {
+  if (limits_.detect_duplicate_ids && !seen_ids_.Insert(record->ddos_id)) {
     Reject(data::IngestErrorKind::kDuplicateId);
     return result;
   }

@@ -46,6 +46,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "common/id_set.h"
 #include "data/ingest_error.h"
 #include "data/records.h"
 #include "netd/auth.h"
@@ -161,7 +162,7 @@ class IngestProtocol {
   std::uint64_t records_ = 0;      // accepted (ingested) rows
   std::uint64_t rejected_ = 0;     // malformed / duplicate rows dropped
   data::IngestErrorReport errors_;
-  std::unordered_set<std::uint64_t> seen_ids_;
+  common::IdSet seen_ids_;  // per connection: a reconnect starts empty
   std::string output_;
 };
 

@@ -193,7 +193,7 @@ void ResilientFeedClient::SendLine(const std::string& raw) {
     client_->SendLine(line);
     return;
   }
-  if (!seen_ids_.insert(record.ddos_id).second) {
+  if (!seen_ids_.Insert(record.ddos_id)) {
     // Mirror the server's per-session dedup client-side: a duplicate
     // would be rejected there without advancing the count, which would
     // let our numbering drift from the server's.

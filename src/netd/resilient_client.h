@@ -41,8 +41,8 @@
 #include <memory>
 #include <string>
 #include <string_view>
-#include <unordered_set>
 
+#include "common/id_set.h"
 #include "common/rng.h"
 #include "data/records.h"
 #include "netd/client.h"
@@ -110,7 +110,7 @@ class ResilientFeedClient {
   Rng rng_;
   std::unique_ptr<FeedClient> client_;
   std::deque<WindowEntry> window_;
-  std::unordered_set<std::uint64_t> seen_ids_;
+  common::IdSet seen_ids_;
   bool connected_once_ = false;
   std::uint64_t next_seq_ = 0;     // == rows sequenced so far
   std::uint64_t acked_floor_ = 0;

@@ -304,11 +304,7 @@ std::uint64_t IngestServer::Preload(const std::string& path,
       engine_->Push(record);
       ++pushed;
     }
-    const data::IngestErrorReport& skipped = reader.error_report();
-    for (int k = 0; k < data::kIngestErrorKindCount; ++k) {
-      errors_.counts[static_cast<std::size_t>(k)] +=
-          skipped.counts[static_cast<std::size_t>(k)];
-    }
+    errors_.Merge(reader.error_report());
   } else {
     throw std::runtime_error("netd: unknown preload format '" + format + "'");
   }
@@ -919,10 +915,7 @@ void IngestServer::CloseConn(Conn& conn, CloseReason reason) {
       sessions_.Release(conn.protocol->session_id());
     }
     SyncRejectCounters(conn);
-    for (int k = 0; k < data::kIngestErrorKindCount; ++k) {
-      const auto i = static_cast<std::size_t>(k);
-      errors_.counts[i] += conn.protocol->errors().counts[i];
-    }
+    errors_.Merge(conn.protocol->errors());
   }
   conn.reason = reason;
   conn.fd.Reset();
@@ -933,10 +926,7 @@ data::IngestErrorReport IngestServer::AggregateErrors() const {
   data::IngestErrorReport report = errors_;
   for (const auto& conn : conns_) {
     if (conn->http || conn->dead || conn->protocol == nullptr) continue;
-    for (int k = 0; k < data::kIngestErrorKindCount; ++k) {
-      const auto i = static_cast<std::size_t>(k);
-      report.counts[i] += conn->protocol->errors().counts[i];
-    }
+    report.Merge(conn->protocol->errors());
   }
   return report;
 }

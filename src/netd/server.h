@@ -28,7 +28,7 @@
 // accepting, final-ACKs every client (`ACK <n> drain`, the client's durable
 // high-water mark; rows after it are the unacked tail to replay after
 // restart), flushes, writes a final checkpoint (stream/checkpoint.h
-// version-2 sharded format, atomic rename), and returns from Run(). The
+// sharded format, atomic rename), and returns from Run(). The
 // checkpoint precedes StreamEngine::Finish for the same reason the watch
 // CLI's does: Finish sweeps pending collaboration state that a later
 // resume must still be able to stitch.

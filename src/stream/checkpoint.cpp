@@ -14,28 +14,34 @@ namespace {
 
 constexpr char kMagic[8] = {'D', 'D', 'S', 'C', 'K', 'P', 'T', '\n'};
 
-// The version argument pins the meta layout: 3/4 carry source_offset after
-// source_line, 1/2 (legacy) do not and read back as offset 0.
-void WriteMeta(std::ostream& out, const CheckpointMeta& meta,
-               std::uint32_t version) {
+// The first versions whose meta carries the source offset, and the seen-id
+// set after the error tallies.
+constexpr std::uint32_t kOffsetVersion = 3;
+constexpr std::uint32_t kSeenIdsVersion = 5;
+
+// Writes the current meta layout (version 5/6); ReadMeta reads every one
+// (checkpoint.h's version table).
+void WriteMeta(std::ostream& out, const CheckpointMeta& meta) {
   io::WriteU64(out, meta.records);
   io::WriteU64(out, meta.source_line);
-  if (version >= kCheckpointVersion) io::WriteU64(out, meta.source_offset);
+  io::WriteU64(out, meta.source_offset);
   for (const std::uint64_t n : meta.errors.counts) io::WriteU64(out, n);
+  meta.seen_ids.SerializeTo(out);
 }
 
 CheckpointMeta ReadMeta(std::istream& in, std::uint32_t version) {
   CheckpointMeta meta;
   meta.records = io::ReadU64(in);
   meta.source_line = io::ReadU64(in);
-  if (version >= kCheckpointVersion) meta.source_offset = io::ReadU64(in);
+  if (version >= kOffsetVersion) meta.source_offset = io::ReadU64(in);
   for (std::uint64_t& n : meta.errors.counts) n = io::ReadU64(in);
+  if (version >= kSeenIdsVersion) {
+    meta.seen_ids = common::IdSet::DeserializeFrom(in);
+  }
   return meta;
 }
 
-bool IsSingleEngineVersion(std::uint32_t version) {
-  return version == kCheckpointVersion || version == kLegacyCheckpointVersion;
-}
+bool IsSingleEngineVersion(std::uint32_t version) { return version % 2 == 1; }
 
 // Frames a fully-built payload: magic, version, size, payload, checksum.
 void WriteFramed(std::ostream& out, std::uint32_t version,
@@ -58,17 +64,24 @@ std::pair<std::uint32_t, std::string> ReadFramed(std::istream& in) {
     throw std::runtime_error("checkpoint: bad magic (not a checkpoint file)");
   }
   const std::uint32_t version = io::ReadU32(in);
-  if (version < kLegacyCheckpointVersion || version > kShardedCheckpointVersion) {
-    throw std::runtime_error(
-        "checkpoint: unsupported version " + std::to_string(version) +
-        " (expected " + std::to_string(kLegacyCheckpointVersion) + ".." +
-        std::to_string(kShardedCheckpointVersion) + ")");
+  if (version < 1 || version > kShardedCheckpointVersion) {
+    throw std::runtime_error("checkpoint: unsupported version " +
+                             std::to_string(version) + " (expected 1.." +
+                             std::to_string(kShardedCheckpointVersion) + ")");
   }
+  // Grow the payload as its bytes arrive: a corrupt size then costs one
+  // chunk past the end of the input, not an allocation of that size.
   const std::uint64_t payload_size = io::ReadU64(in);
-  std::string payload(payload_size, '\0');
-  if (payload_size > 0 &&
-      !in.read(payload.data(), static_cast<std::streamsize>(payload_size))) {
-    throw std::runtime_error("checkpoint: truncated payload");
+  constexpr std::uint64_t kChunk = 1 << 20;
+  std::string payload;
+  while (payload.size() < payload_size) {
+    const std::size_t have = payload.size();
+    const auto n = static_cast<std::size_t>(
+        std::min<std::uint64_t>(kChunk, payload_size - have));
+    payload.resize(have + n);
+    if (!in.read(payload.data() + have, static_cast<std::streamsize>(n))) {
+      throw std::runtime_error("checkpoint: truncated payload");
+    }
   }
   const std::uint64_t expected = io::ReadU64(in);
   io::Fnv1a64 checksum;
@@ -123,8 +136,8 @@ ShardedCheckpointState ParseShardedPayload(std::uint32_t version,
                              std::to_string(shard_count));
   }
   state.router_attacks = io::ReadU64(in);
-  state.router_first_start_s = io::ReadI64(in);
-  state.router_last_start_s = io::ReadI64(in);
+  state.router_first_start_s = io::ReadSeconds(in);
+  state.router_last_start_s = io::ReadSeconds(in);
   state.engines.reserve(shard_count);
   for (std::uint32_t i = 0; i < shard_count; ++i) {
     state.engines.push_back(StreamEngine::Deserialize(in));
@@ -137,7 +150,7 @@ ShardedCheckpointState ParseShardedPayload(std::uint32_t version,
 void WriteCheckpoint(std::ostream& out, const StreamEngine& engine,
                      const CheckpointMeta& meta) {
   std::ostringstream payload;
-  WriteMeta(payload, meta, kCheckpointVersion);
+  WriteMeta(payload, meta);
   engine.SerializeTo(payload);
   WriteFramed(out, kCheckpointVersion, payload.str());
 }
@@ -174,7 +187,7 @@ void WriteShardedCheckpoint(std::ostream& out,
     throw std::runtime_error("checkpoint: no engine sections to write");
   }
   std::ostringstream payload;
-  WriteMeta(payload, state.meta, kShardedCheckpointVersion);
+  WriteMeta(payload, state.meta);
   io::WriteU32(payload, static_cast<std::uint32_t>(state.engines.size()));
   io::WriteU64(payload, state.router_attacks);
   io::WriteI64(payload, state.router_first_start_s);

@@ -16,17 +16,25 @@
 //   20      n     payload (see below)
 //   20+n    8     FNV-1a 64 checksum of the payload
 //
-// Versions 1/3 payload: CheckpointMeta, then one StreamEngine::SerializeTo.
-// Versions 2/4 payload (sharded ingest, stream/sharded.h): CheckpointMeta,
-// u32 shard count S, router position (u64 attacks, i64 first start, i64
-// last start), then S StreamEngine sections. Versions 3/4 extend the meta
-// with the byte offset into the source feed (span-offset resume for the
-// mmap ingest path); 1/2 are the pre-offset layouts and readers accept all
-// four, with legacy files yielding source_offset = 0 (the line-count
-// resume path still works from source_line). ReadCheckpoint accepts any
-// version - a sharded file with S > 1 is folded into one engine through
-// StreamEngine::Merge - while ReadShardedCheckpoint preserves the sections
-// so a sharded resume can hand each worker its own state back.
+// Odd versions hold one engine: the payload is CheckpointMeta, then one
+// StreamEngine::SerializeTo. Even versions are sharded (stream/sharded.h):
+// CheckpointMeta, u32 shard count S, router position (u64 attacks, i64
+// first start, i64 last start), then S StreamEngine sections. The meta
+// grew twice, and readers accept every version:
+//
+//   version  meta after records, source_line        older files read as
+//   1 / 2    error tallies                           -
+//   3 / 4    source_offset, error tallies            source_offset = 0
+//   5 / 6    source_offset, error tallies, seen ids  empty seen-id set
+//
+// source_offset is the byte offset into the source feed (span-offset
+// resume for the mmap ingest path; a zero falls back to source_line). The
+// seen ids are the common::IdSet of ddos_ids the feed ingested under
+// skip/quarantine, so a repeat after the resume point is still rejected.
+// Writers emit 5 and 6. ReadCheckpoint accepts any version - a sharded
+// file with S > 1 is folded into one engine through StreamEngine::Merge -
+// while ReadShardedCheckpoint preserves the sections so a sharded resume
+// can hand each worker its own state back.
 //
 // Readers verify magic, version, size and checksum before touching the
 // payload and throw std::runtime_error on any mismatch: a torn or
@@ -41,17 +49,16 @@
 #include <string>
 #include <vector>
 
+#include "common/id_set.h"
 #include "data/ingest_error.h"
 #include "stream/engine.h"
 
 namespace ddos::stream {
 
-// Current write versions; the legacy pair is what pre-offset builds wrote
-// and readers keep accepting (see the header comment's version policy).
-inline constexpr std::uint32_t kCheckpointVersion = 3;
-inline constexpr std::uint32_t kShardedCheckpointVersion = 4;
-inline constexpr std::uint32_t kLegacyCheckpointVersion = 1;
-inline constexpr std::uint32_t kLegacyShardedCheckpointVersion = 2;
+// Current write versions; readers accept 1 through
+// kShardedCheckpointVersion (see the header comment's version table).
+inline constexpr std::uint32_t kCheckpointVersion = 5;
+inline constexpr std::uint32_t kShardedCheckpointVersion = 6;
 
 // Feed position and ingestion-error tallies at the instant of the
 // checkpoint; what the resume path needs besides the engine itself.
@@ -63,6 +70,9 @@ struct CheckpointMeta {
   // in files written before version 3/4 and for non-seekable sources.
   std::uint64_t source_offset = 0;
   data::IngestErrorReport errors; // rejections seen before the checkpoint
+  // ddos_ids ingested before the checkpoint under skip/quarantine (empty
+  // under strict, for daemon checkpoints, and in files before version 5).
+  common::IdSet seen_ids;
 };
 
 // Serializes meta + engine to the stream / atomically to `path`.
@@ -73,12 +83,12 @@ void WriteCheckpoint(const std::string& path, const StreamEngine& engine,
 
 // Restores an engine and its feed position. Throws std::runtime_error on a
 // missing file, bad magic, unsupported version, or checksum mismatch.
-// Accepts both format versions; a sharded checkpoint is merged into one
+// Accepts every version; a sharded checkpoint is merged into one
 // engine (bit-identical to the section when the file holds exactly one).
 StreamEngine ReadCheckpoint(std::istream& in, CheckpointMeta* meta);
 StreamEngine ReadCheckpoint(const std::string& path, CheckpointMeta* meta);
 
-// The full contents of a version-2 checkpoint: feed position, the router's
+// The full contents of a sharded checkpoint: feed position, the router's
 // global interval cursor, and one engine section per shard at the instant
 // of the checkpoint.
 struct ShardedCheckpointState {
@@ -89,14 +99,14 @@ struct ShardedCheckpointState {
   std::vector<StreamEngine> engines;
 };
 
-// Serializes a version-2 checkpoint (atomically when given a path).
+// Serializes a sharded checkpoint (atomically when given a path).
 void WriteShardedCheckpoint(std::ostream& out,
                             const ShardedCheckpointState& state);
 void WriteShardedCheckpoint(const std::string& path,
                             const ShardedCheckpointState& state);
 
-// Reads either version; a version-1 file yields one section with the
-// router cursor reconstructed from the engine itself.
+// Reads every version; a single-engine (odd-version) file yields one
+// section with the router cursor reconstructed from the engine itself.
 ShardedCheckpointState ReadShardedCheckpoint(std::istream& in);
 ShardedCheckpointState ReadShardedCheckpoint(const std::string& path);
 

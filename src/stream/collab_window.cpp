@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <set>
+#include <stdexcept>
 
 #include "common/binio.h"
 
@@ -166,20 +167,21 @@ void WindowedCollabDetector::DeserializeFrom(std::istream& in) {
   stats_.total_participants = io::ReadU64(in);
   for (std::uint64_t& n : stats_.table.intra) n = io::ReadU64(in);
   for (std::uint64_t& n : stats_.table.inter) n = io::ReadU64(in);
-  watermark_ = TimePoint(io::ReadI64(in));
+  watermark_ = TimePoint(io::ReadSeconds(in));
   pushes_ = io::ReadU64(in);
   const std::uint64_t n_pending = io::ReadU64(in);
   pending_.clear();
   for (std::uint64_t i = 0; i < n_pending; ++i) {
     const std::uint32_t key = io::ReadU32(in);
     Pending pending;
-    pending.anchor_start = TimePoint(io::ReadI64(in));
-    pending.anchor_duration_s = io::ReadI64(in);
+    pending.anchor_start = TimePoint(io::ReadSeconds(in));
+    pending.anchor_duration_s = io::ReadSeconds(in);
     const std::uint64_t n_part = io::ReadU64(in);
-    pending.participants.reserve(n_part);
     for (std::uint64_t j = 0; j < n_part; ++j) {
       Participant p;
-      p.family = static_cast<data::Family>(io::ReadU32(in));
+      const auto family = data::FamilyFromIndex(io::ReadU32(in));
+      if (!family) throw std::runtime_error("checkpoint: unknown family");
+      p.family = *family;
       p.botnet_id = io::ReadU32(in);
       pending.participants.push_back(p);
     }

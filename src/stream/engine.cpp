@@ -316,18 +316,18 @@ StreamEngine StreamEngine::Deserialize(std::istream& in) {
   config.quantile_epsilon = io::ReadF64(in);
   config.topk_capacity = io::ReadU64(in);
   config.distinct_k = io::ReadU64(in);
-  config.rolling_window_s = io::ReadI64(in);
-  config.collab.start_window_s = io::ReadI64(in);
-  config.collab.max_duration_diff_s = io::ReadI64(in);
-  config.sessionizer.sessionize.split_gap_s = io::ReadI64(in);
-  config.sessionizer.max_lateness_s = io::ReadI64(in);
+  config.rolling_window_s = io::ReadSeconds(in);
+  config.collab.start_window_s = io::ReadSeconds(in);
+  config.collab.max_duration_diff_s = io::ReadSeconds(in);
+  config.sessionizer.sessionize.split_gap_s = io::ReadSeconds(in);
+  config.sessionizer.max_lateness_s = io::ReadSeconds(in);
   config.sessionizer.sweep_period =
       std::max<std::size_t>(io::ReadU64(in), 1);
 
   StreamEngine engine(config);
   engine.attacks_ = io::ReadU64(in);
-  engine.first_start_ = TimePoint(io::ReadI64(in));
-  engine.last_start_ = TimePoint(io::ReadI64(in));
+  engine.first_start_ = TimePoint(io::ReadSeconds(in));
+  engine.last_start_ = TimePoint(io::ReadSeconds(in));
   for (std::uint64_t& n : engine.family_attacks_) n = io::ReadU64(in);
   for (std::uint64_t& n : engine.protocol_attacks_) n = io::ReadU64(in);
   const std::uint64_t n_countries = io::ReadU64(in);
@@ -361,7 +361,7 @@ StreamEngine StreamEngine::Deserialize(std::istream& in) {
 
   const std::uint64_t n_window = io::ReadU64(in);
   for (std::uint64_t i = 0; i < n_window; ++i) {
-    engine.window_starts_.push_back(TimePoint(io::ReadI64(in)));
+    engine.window_starts_.push_back(TimePoint(io::ReadSeconds(in)));
   }
   return engine;
 }

@@ -1,6 +1,7 @@
 #include "stream/ingest.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "common/binio.h"
 
@@ -163,7 +164,7 @@ void StreamSessionizer::SerializeTo(std::ostream& out) const {
 void StreamSessionizer::DeserializeFrom(std::istream& in) {
   next_ddos_id_ = io::ReadU64(in);
   pushes_ = io::ReadU64(in);
-  watermark_ = TimePoint(io::ReadI64(in));
+  watermark_ = TimePoint(io::ReadSeconds(in));
   saw_any_ = io::ReadU32(in) != 0;
   const std::uint64_t n = io::ReadU64(in);
   runs_.clear();
@@ -171,10 +172,12 @@ void StreamSessionizer::DeserializeFrom(std::istream& in) {
     const std::uint64_t key = io::ReadU64(in);
     OpenRun run;
     run.botnet_id = io::ReadU32(in);
-    run.family = static_cast<data::Family>(io::ReadU32(in));
+    const auto family = data::FamilyFromIndex(io::ReadU32(in));
+    if (!family) throw std::runtime_error("checkpoint: unknown family");
+    run.family = *family;
     run.target_ip = net::IPv4Address(io::ReadU32(in));
-    run.start = TimePoint(io::ReadI64(in));
-    run.end = TimePoint(io::ReadI64(in));
+    run.start = TimePoint(io::ReadSeconds(in));
+    run.end = TimePoint(io::ReadSeconds(in));
     run.magnitude = io::ReadU32(in);
     for (std::uint16_t& v : run.protocol_votes) v = io::ReadU16(in);
     runs_.emplace(key, run);

@@ -51,7 +51,9 @@ constexpr std::uint64_t kBatchSpanSampleMask = 15;
 
 ShardedStreamEngine::ShardedStreamEngine(
     const ShardedStreamEngineConfig& config)
-    : config_(config), worker_config_(config.engine) {
+    : config_(config),
+      worker_config_(config.engine),
+      dedupe_(config.parse.policy != data::ParsePolicy::kStrict) {
   const std::size_t n = std::max<std::size_t>(1, config.shards);
   // Half epsilon per shard so the merged sketch honors the requested rank
   // error (merging can double the per-sketch bound; stream/sketch.h).
@@ -278,6 +280,7 @@ void ShardedStreamEngine::ApplySpanTask(Shard* shard, const Task& task) {
   obs::MaybeAdd(obs_ingest_errors_[static_cast<std::size_t>(err.kind)]);
   error_total_.fetch_add(1, std::memory_order_relaxed);
   shard->errors.push_back(std::move(err));
+  if (dedupe_) shard->rejected_ids.push_back(task.ddos_id);
   if (config_.parse.policy == data::ParsePolicy::kStrict) {
     // Workers cannot throw across the ring; flag it and let the router
     // surface the earliest buffered line (deterministic across counts).
@@ -344,19 +347,24 @@ void ShardedStreamEngine::PushLine(std::string_view line, std::size_t line_no,
   data::AttackLinePreScan scan;
   bool ok = prescan_.Scan(line, &scan, &err);
   bool duplicate = false;
-  if (ok && config_.parse.detect_duplicate_ids &&
-      !seen_ids_.insert(scan.ddos_id).second) {
-    // The reader checks every column before the id, so a repeated id that
-    // also fails the full parse is rejected for that failure. Only repeats
-    // pay this router-side parse.
-    data::AttackRecord parsed;
-    duplicate = data::TryParseAttackLine(line, &parsed, &err);
-    if (duplicate) {
-      err.kind = data::IngestErrorKind::kDuplicateId;
-      err.detail = StrFormat("ddos_id %llu already ingested",
-                             static_cast<unsigned long long>(scan.ddos_id));
+  if (ok && dedupe_ && !seen_ids_.Insert(scan.ddos_id)) {
+    // A repeat stands only once the workers have caught up: the earlier
+    // row may have been rejected in its shard, and then this row is the
+    // id's first valid one, as in the reader. Only repeats pay the barrier.
+    DrainBarrier();
+    ForgetRejectedIds();
+    if (!seen_ids_.Insert(scan.ddos_id)) {
+      // The reader checks every column before the id, so a repeated id
+      // that also fails the full parse is rejected for that failure.
+      data::AttackRecord parsed;
+      duplicate = data::TryParseAttackLine(line, &parsed, &err);
+      if (duplicate) {
+        err.kind = data::IngestErrorKind::kDuplicateId;
+        err.detail = StrFormat("ddos_id %llu already ingested",
+                               static_cast<unsigned long long>(scan.ddos_id));
+      }
+      ok = false;
     }
-    ok = false;
   }
   // Reclassify a torn tail exactly as the reader does: a parse failure on
   // an unterminated final line is reported as the torn write it is.
@@ -390,6 +398,7 @@ void ShardedStreamEngine::PushLine(std::string_view line, std::size_t line_no,
   task.saw_newline = saw_newline;
   task.span = line;
   task.line_no = line_no;
+  task.ddos_id = scan.ddos_id;
   const std::size_t n = shards_.size();
   const std::size_t record_shard =
       static_cast<std::size_t>(MixHash64(scan.botnet_id) % n);
@@ -423,10 +432,7 @@ data::IngestErrorReport ShardedStreamEngine::ErrorReport() {
   data::IngestErrorReport report = router_report_;
   for (auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mutex);
-    for (int k = 0; k < data::kIngestErrorKindCount; ++k) {
-      report.counts[static_cast<std::size_t>(k)] +=
-          shard->report.counts[static_cast<std::size_t>(k)];
-    }
+    report.Merge(shard->report);
   }
   return report;
 }
@@ -451,11 +457,28 @@ std::vector<data::IngestError> ShardedStreamEngine::DrainErrors() {
 }
 
 void ShardedStreamEngine::SeedErrors(const data::IngestErrorReport& errors) {
-  for (int k = 0; k < data::kIngestErrorKindCount; ++k) {
-    const auto idx = static_cast<std::size_t>(k);
-    router_report_.counts[idx] += errors.counts[idx];
-    obs::MaybeAdd(obs_ingest_errors_[idx], errors.counts[idx]);
-    error_total_.fetch_add(errors.counts[idx], std::memory_order_relaxed);
+  router_report_.Merge(errors);
+  for (std::size_t k = 0; k < errors.counts.size(); ++k) {
+    obs::MaybeAdd(obs_ingest_errors_[k], errors.counts[k]);
+  }
+  error_total_.fetch_add(errors.total(), std::memory_order_relaxed);
+}
+
+const common::IdSet& ShardedStreamEngine::SeenIds() {
+  if (!finished_) DrainBarrier();
+  ForgetRejectedIds();
+  return seen_ids_;
+}
+
+void ShardedStreamEngine::SeedSeenIds(common::IdSet ids) {
+  if (dedupe_) seen_ids_ = std::move(ids);
+}
+
+void ShardedStreamEngine::ForgetRejectedIds() {
+  for (auto& shard : shards_) {
+    std::lock_guard<std::mutex> lock(shard->mutex);
+    for (const std::uint64_t id : shard->rejected_ids) seen_ids_.Erase(id);
+    shard->rejected_ids.clear();
   }
 }
 
@@ -585,7 +608,7 @@ void ShardedStreamEngine::RestoreFrom(const ShardedCheckpointState& state) {
 }
 
 std::size_t ShardedStreamEngine::ApproxMemoryBytes() {
-  std::size_t bytes = sizeof(*this);
+  std::size_t bytes = sizeof(*this) + seen_ids_.ApproxMemoryBytes();
   for (auto& shard : shards_) {
     bytes += shard->queue.ApproxMemoryBytes();
     std::lock_guard<std::mutex> lock(shard->mutex);

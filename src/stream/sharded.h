@@ -38,10 +38,11 @@
 // protocol, asn, coordinates, magnitude) are buffered per shard with
 // their original line numbers and merged in line order at the next
 // barrier - so error_report()/quarantine output is identical for every
-// shard count. Span lifetime: the bytes must stay addressable until the
-// next barrier (mmap the feed, common/mmapio.h, or keep the buffer
-// alive); Push() record routing remains for non-stable sources
-// (stdin, the netd line protocol).
+// shard count. A repeated ddos_id takes a barrier before it is called a
+// duplicate, so a row a worker rejected never claims its id. Span
+// lifetime: the bytes must stay addressable until the next barrier (mmap
+// the feed, common/mmapio.h, or keep the buffer alive); Push() record
+// routing remains for non-stable sources (stdin, the netd line protocol).
 //
 // Threading model: the router is the only producer; workers pop and apply
 // under a per-shard mutex. A barrier (queue drained + mutex acquired) makes
@@ -59,9 +60,9 @@
 #include <string>
 #include <string_view>
 #include <thread>
-#include <unordered_set>
 #include <vector>
 
+#include "common/id_set.h"
 #include "common/spsc_queue.h"
 #include "data/csv.h"
 #include "data/ingest_error.h"
@@ -95,10 +96,11 @@ struct ShardedStreamEngineConfig {
   const geo::GeoMmdb* geo = nullptr;
   GeoEnrichConfig geo_enrich;
   // Error policy for the span-ingest path (PushLine): policy, the line
-  // length cap, and duplicate detection follow AttackCsvReader's exact
-  // semantics. The quarantine pointer is ignored here - rejected rows are
-  // buffered with line attribution and handed back through DrainErrors()
-  // so the caller can write them in deterministic line order.
+  // length cap, and duplicate detection (on unless kStrict) follow
+  // AttackCsvReader's exact semantics. The quarantine pointer is ignored
+  // here - rejected rows are buffered with line attribution and handed
+  // back through DrainErrors() so the caller can write them in
+  // deterministic line order.
   data::ParseOptions parse;
 };
 
@@ -147,7 +149,7 @@ class ShardedStreamEngine {
   // The folded engine; valid only after Finish().
   const StreamEngine& merged() const;
 
-  // Checkpointing (version-2 sharded format, stream/checkpoint.h). Safe
+  // Checkpointing (sharded format, stream/checkpoint.h). Safe
   // mid-stream: takes the same barrier as Snapshot.
   void SaveCheckpoint(std::ostream& out, const CheckpointMeta& meta);
   void SaveCheckpoint(const std::string& path, const CheckpointMeta& meta);
@@ -185,6 +187,13 @@ class ShardedStreamEngine {
   // Folds a checkpointed predecessor's tallies into ErrorReport() and the
   // attached obs counters (resume path; AttackCsvReader::SeedErrors).
   void SeedErrors(const data::IngestErrorReport& errors);
+  // The ddos_ids of the rows PushLine has accepted (empty under kStrict):
+  // takes a barrier and forgets the ids of rows the workers rejected, so
+  // the set is exactly the reader's at the same line. Router thread only.
+  const common::IdSet& SeenIds();
+  // Restores a checkpointed predecessor's ids (AttackCsvReader::
+  // SeedSeenIds); a no-op under kStrict. Router thread only.
+  void SeedSeenIds(common::IdSet ids);
 
   // Instantaneous per-shard ring occupancy. Approximate (relaxed cursor
   // reads, no barrier) and safe from any thread - the ddoscoped /status
@@ -222,6 +231,7 @@ class ShardedStreamEngine {
     CollabObservation obs;      // kCollab
     std::string_view span;      // kLine*: stable until the next barrier
     std::uint64_t line_no = 0;  // kLine*: original 1-based input line
+    std::uint64_t ddos_id = 0;  // kLine*: the pre-scanned id
   };
 
   struct Shard {
@@ -238,6 +248,9 @@ class ShardedStreamEngine {
     // batch), so a post-barrier read is race-free.
     std::vector<data::IngestError> errors;
     data::IngestErrorReport report;
+    // ddos_ids of the rows this worker rejected, which the router entered
+    // into its seen set at pre-scan; ForgetRejectedIds takes them back out.
+    std::vector<std::uint64_t> rejected_ids;
     // ApplySpanTask's parse target, reused so the record's strings keep
     // their capacity across spans. Worker thread only.
     data::AttackRecord parsed;
@@ -261,6 +274,9 @@ class ShardedStreamEngine {
   // Router-side rejection bookkeeping for PushLine (tally, buffer, obs,
   // strict throw) - the reader's error path, one line at a time.
   void RecordRouterError(data::IngestError&& err);
+  // After a barrier: erases the ids of worker-rejected rows from
+  // seen_ids_, so only rows that were ingested hold their id.
+  void ForgetRejectedIds();
   // kStrict + a worker-detected rejection: barrier, collect every buffered
   // error, throw for the earliest line (deterministic across shard counts).
   [[noreturn]] void ThrowWorkerFatal();
@@ -281,7 +297,8 @@ class ShardedStreamEngine {
 
   // Span-ingest router state (caller thread only unless noted).
   data::AttackLinePreScanner prescan_;
-  std::unordered_set<std::uint64_t> seen_ids_;     // dup detection
+  bool dedupe_;                                    // policy != kStrict
+  common::IdSet seen_ids_;                         // see ForgetRejectedIds
   std::vector<data::IngestError> router_errors_;   // buffered rejections
   data::IngestErrorReport router_report_;          // router-side tallies
   std::atomic<std::uint64_t> error_total_{0};      // all threads, relaxed

@@ -132,9 +132,10 @@ void GkQuantileSketch::DeserializeFrom(std::istream& in) {
   n_ = io::ReadU64(in);
   compress_period_ = std::max<std::uint64_t>(1, io::ReadU64(in));
   since_compress_ = io::ReadU64(in);
+  // No reservation from the stored count: a corrupt one would allocate
+  // before the short read could throw.
   const std::uint64_t count = io::ReadU64(in);
   tuples_.clear();
-  tuples_.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
     Tuple t;
     t.v = io::ReadF64(in);

@@ -8,12 +8,16 @@
 #include <sys/stat.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
 
 #include <gtest/gtest.h>
 
+#include "common/binio.h"
+#include "common/id_set.h"
+#include "common/rng.h"
 #include "stream/engine.h"
 #include "test_support.h"
 
@@ -259,6 +263,216 @@ TEST(Checkpoint, FailedRenameLeavesNoStageFileBehind) {
 
   std::remove(blocker.c_str());
   ::rmdir(path.c_str());
+}
+
+// --- The seen-id set, the version history, and corrupt input ---
+//
+// DDOSCOPE_MUTANT_ITERATIONS sets the number of byte mutants per test
+// (default 2,000; the sanitizer CI job runs many more).
+
+int MutantIterations() {
+  const char* env = std::getenv("DDOSCOPE_MUTANT_ITERATIONS");
+  return env != nullptr ? std::atoi(env) : 2000;
+}
+
+// A checkpoint file around `payload`, framed as the writers frame it.
+std::string Frame(std::uint32_t version, const std::string& payload) {
+  std::ostringstream out;
+  out.write("DDSCKPT\n", 8);
+  io::WriteU32(out, version);
+  io::WriteU64(out, payload.size());
+  out << payload;
+  io::Fnv1a64 checksum;
+  checksum.Update(payload);
+  io::WriteU64(out, checksum.digest());
+  return out.str();
+}
+
+// The frame is 8 bytes of magic, a u32 version and a u64 size before the
+// payload, and the u64 checksum after it.
+constexpr std::size_t kFrameHead = 20;
+constexpr std::size_t kFrameTail = 8;
+
+std::string PayloadOf(const std::string& file) {
+  return file.substr(kFrameHead, file.size() - kFrameHead - kFrameTail);
+}
+
+std::uint32_t VersionOf(const std::string& file) {
+  std::istringstream in(file.substr(8, 4));
+  return io::ReadU32(in);
+}
+
+StreamEngine EngineOver(std::size_t from, std::size_t count) {
+  StreamEngine engine;
+  for (std::size_t i = from; i < from + count; ++i) {
+    engine.Push(Trace().attacks()[i]);
+  }
+  return engine;
+}
+
+CheckpointMeta MetaWithSeenIds() {
+  CheckpointMeta meta;
+  meta.records = 40;
+  meta.source_line = 45;
+  meta.source_offset = 9000;
+  meta.errors.Add(data::IngestErrorKind::kDuplicateId);
+  meta.errors.Add(data::IngestErrorKind::kBadFieldCount);
+  for (std::uint64_t id = 1; id <= 40; ++id) {
+    if (id != 17) meta.seen_ids.Insert(id);
+  }
+  meta.seen_ids.Insert(1000);
+  return meta;
+}
+
+ShardedCheckpointState TwoSectionState() {
+  ShardedCheckpointState state;
+  state.meta = MetaWithSeenIds();
+  state.engines.push_back(EngineOver(0, 20));
+  state.engines.push_back(EngineOver(20, 20));
+  state.router_attacks = 40;
+  state.router_first_start_s = state.engines[0].first_start().seconds();
+  state.router_last_start_s = state.engines[1].last_start().seconds();
+  return state;
+}
+
+std::string SingleFile() {
+  std::ostringstream out;
+  WriteCheckpoint(out, EngineOver(0, 40), MetaWithSeenIds());
+  return out.str();
+}
+
+std::string ShardedFile() {
+  std::ostringstream out;
+  WriteShardedCheckpoint(out, TwoSectionState());
+  return out.str();
+}
+
+void ExpectMetaEqual(const CheckpointMeta& got, const CheckpointMeta& want) {
+  EXPECT_EQ(got.records, want.records);
+  EXPECT_EQ(got.source_line, want.source_line);
+  EXPECT_EQ(got.source_offset, want.source_offset);
+  EXPECT_EQ(got.errors.counts, want.errors.counts);
+  EXPECT_EQ(got.seen_ids, want.seen_ids);
+}
+
+TEST(Checkpoint, SeenIdsRoundTripInVersions5And6) {
+  const std::string single = SingleFile();
+  const std::string sharded = ShardedFile();
+  EXPECT_EQ(VersionOf(single), 5u);
+  EXPECT_EQ(VersionOf(sharded), 6u);
+  for (const std::string& file : {single, sharded}) {
+    std::istringstream in(file);
+    const ShardedCheckpointState state = ReadShardedCheckpoint(in);
+    ExpectMetaEqual(state.meta, MetaWithSeenIds());
+    std::istringstream again(file);
+    CheckpointMeta meta;
+    const StreamEngine engine = ReadCheckpoint(again, &meta);
+    ExpectMetaEqual(meta, MetaWithSeenIds());
+    EXPECT_EQ(engine.attacks_seen(), 40u);
+  }
+}
+
+// Versions 1-4, framed by hand in their own layouts, still read: the
+// fields they lack read as zero and an empty seen-id set.
+TEST(Checkpoint, EarlierVersionsReadWithAnEmptySeenIdSet) {
+  const ShardedCheckpointState current = TwoSectionState();
+  const StreamEngine whole = EngineOver(0, 40);
+  for (std::uint32_t version = 1; version <= 4; ++version) {
+    SCOPED_TRACE(version);
+    std::ostringstream payload;
+    io::WriteU64(payload, current.meta.records);
+    io::WriteU64(payload, current.meta.source_line);
+    if (version >= 3) io::WriteU64(payload, current.meta.source_offset);
+    for (const std::uint64_t n : current.meta.errors.counts) {
+      io::WriteU64(payload, n);
+    }
+    const bool sharded = version % 2 == 0;
+    if (sharded) {
+      io::WriteU32(payload, 2);
+      io::WriteU64(payload, current.router_attacks);
+      io::WriteI64(payload, current.router_first_start_s);
+      io::WriteI64(payload, current.router_last_start_s);
+      for (const StreamEngine& e : current.engines) e.SerializeTo(payload);
+    } else {
+      whole.SerializeTo(payload);
+    }
+    std::istringstream in(Frame(version, payload.str()));
+    const ShardedCheckpointState state = ReadShardedCheckpoint(in);
+    CheckpointMeta want = current.meta;
+    want.seen_ids = common::IdSet{};
+    if (version < 3) want.source_offset = 0;
+    ExpectMetaEqual(state.meta, want);
+    EXPECT_EQ(state.engines.size(), sharded ? 2u : 1u);
+    EXPECT_EQ(state.router_attacks, 40u);
+  }
+}
+
+// Reads `file` with both readers: each must throw std::runtime_error or
+// return a state; anything else (another exception, a crash, a sanitizer
+// report) fails the test.
+void ExpectThrowsOrReads(const std::string& file) {
+  try {
+    std::istringstream in(file);
+    ReadShardedCheckpoint(in);
+  } catch (const std::runtime_error&) {
+  }
+  try {
+    std::istringstream in(file);
+    ReadCheckpoint(in, nullptr);
+  } catch (const std::runtime_error&) {
+  }
+}
+
+// 1-3 random bytes of `bytes` flipped or overwritten.
+std::string Mutate(std::string bytes, Rng& rng) {
+  const int edits = static_cast<int>(rng.UniformInt(1, 3));
+  for (int e = 0; e < edits; ++e) {
+    const auto at = static_cast<std::size_t>(
+        rng.UniformInt(0, static_cast<std::int64_t>(bytes.size()) - 1));
+    if (rng.Bernoulli(0.5)) {
+      bytes[at] = static_cast<char>(bytes[at] ^ (1 << rng.UniformInt(0, 7)));
+    } else {
+      bytes[at] = static_cast<char>(rng.UniformInt(0, 255));
+    }
+  }
+  return bytes;
+}
+
+TEST(Checkpoint, EveryTruncationOfVersions5And6Throws) {
+  for (const std::string& file : {SingleFile(), ShardedFile()}) {
+    SCOPED_TRACE(VersionOf(file));
+    for (std::size_t n = 0; n < file.size(); ++n) {
+      std::istringstream in(file.substr(0, n));
+      EXPECT_THROW(ReadShardedCheckpoint(in), std::runtime_error) << n;
+    }
+    // The payload cut short but framed and checksummed as if whole, so the
+    // decoders themselves meet the end of their input at every byte.
+    const std::string payload = PayloadOf(file);
+    for (std::size_t n = 0; n < payload.size(); ++n) {
+      std::istringstream in(Frame(VersionOf(file), payload.substr(0, n)));
+      EXPECT_THROW(ReadShardedCheckpoint(in), std::runtime_error) << n;
+    }
+  }
+}
+
+TEST(Checkpoint, ByteMutantsOfVersions5And6ThrowOrRead) {
+  const Rng root(20150623);
+  const int iterations = MutantIterations();
+  for (const std::string& file : {SingleFile(), ShardedFile()}) {
+    const std::uint32_t version = VersionOf(file);
+    SCOPED_TRACE(version);
+    const std::string payload = PayloadOf(file);
+    for (int i = 0; i < iterations; ++i) {
+      SCOPED_TRACE(i);
+      Rng rng = root.Fork(version * 1'000'000 + static_cast<std::uint64_t>(i));
+      // The file as stored: mostly checksum failures, but a mutated version
+      // or size field reaches the decoders with the wrong layout.
+      ExpectThrowsOrReads(Mutate(file, rng));
+      // The payload mutated and re-signed, so every decoder behind the
+      // checksum sees corrupt fields.
+      ExpectThrowsOrReads(Frame(version, Mutate(payload, rng)));
+    }
+  }
 }
 
 }  // namespace

@@ -134,7 +134,6 @@ SpanRun RunSpans(const std::string& text, std::size_t shards) {
   ShardedStreamEngineConfig config;
   config.shards = shards;
   config.parse.policy = data::ParsePolicy::kQuarantine;
-  config.parse.detect_duplicate_ids = true;
   ShardedStreamEngine engine(config);
   data::LineSpanScanner scanner(text);
   data::LineSpan span;
@@ -252,7 +251,6 @@ TEST(SpanIngest, DrainErrorsIsSortedAndConsumes) {
   ShardedStreamEngineConfig config;
   config.shards = 4;
   config.parse.policy = data::ParsePolicy::kSkip;
-  config.parse.detect_duplicate_ids = true;
   ShardedStreamEngine engine(config);
   data::LineSpanScanner scanner(feed.text);
   data::LineSpan span;
@@ -360,6 +358,45 @@ TEST(SpanIngest, RepeatedIdWithAColumnDefectIsRejectedForTheDefect) {
     EXPECT_EQ(run.records, reference.records);
     EXPECT_EQ(run.report.counts, reference.report.counts);
     EXPECT_EQ(run.quarantine, reference.quarantine);
+  }
+}
+
+// A row the worker rejects does not claim its id: a later valid row with
+// the same id is that id's first valid row, as in the reader, which only
+// records the ids of rows that parse. The repeat takes a barrier so the
+// router learns of the rejection before it decides.
+TEST(SpanIngest, AWorkerRejectedRowDoesNotHideALaterRowWithItsId) {
+  const auto& attacks = ::ddos::testing::SmallDataset().attacks();
+  std::uint64_t max_id = 0;
+  for (const data::AttackRecord& a : attacks) {
+    max_id = std::max(max_id, a.ddos_id);
+  }
+  std::ostringstream out;
+  data::WriteAttacksCsv(out, std::span(attacks.data(), 30));
+  data::AttackRecord fresh = attacks[30];
+  fresh.ddos_id = max_id + 1;
+  std::ostringstream row;
+  data::WriteAttackCsvRow(row, fresh);
+  out << WithUnknownFamily(row.str());  // worker-detected, fresh id
+  out << row.str();                     // the same id, valid
+  for (std::size_t i = 31; i < 50; ++i) {
+    std::ostringstream r;
+    data::WriteAttackCsvRow(r, attacks[i]);
+    out << r.str();
+  }
+  const std::string text = out.str();
+
+  const ReaderRun reference = RunReader(text);
+  EXPECT_EQ(reference.records, 50u);
+  EXPECT_EQ(reference.report.total(), 1u);
+  EXPECT_EQ(reference.report.count(data::IngestErrorKind::kDuplicateId), 0u);
+  for (const std::size_t shards : {1u, 2u, 8u}) {
+    SCOPED_TRACE(shards);
+    const SpanRun run = RunSpans(text, shards);
+    EXPECT_EQ(run.records, reference.records);
+    EXPECT_EQ(run.report.counts, reference.report.counts);
+    EXPECT_EQ(run.quarantine, reference.quarantine);
+    ExpectNonIntervalFieldsIdentical(run.snapshot, reference.snapshot);
   }
 }
 
@@ -483,7 +520,6 @@ TEST(SpanIngest, OffsetCheckpointResumeEqualsUninterruptedRun) {
   ShardedStreamEngineConfig config;
   config.shards = 4;
   config.parse.policy = data::ParsePolicy::kSkip;
-  config.parse.detect_duplicate_ids = true;
 
   std::stringstream file;
   std::uint64_t saved_offset = 0;
@@ -528,12 +564,12 @@ TEST(SpanIngest, OffsetCheckpointResumeEqualsUninterruptedRun) {
   ExpectExactFieldsIdentical(resumed.Snapshot(), uninterrupted.snapshot);
 }
 
-// CheckpointMeta round-trips the new source_offset field through the
-// version-3 frame (legacy files read back as offset 0, which the CLI
+// CheckpointMeta round-trips the source_offset field through the current
+// single-engine frame (legacy files read back as offset 0, which the CLI
 // treats as "fall back to line-skip resume").
 TEST(SpanIngest, MetaRoundTripsSourceOffset) {
-  EXPECT_EQ(kCheckpointVersion, 3u);
-  EXPECT_EQ(kShardedCheckpointVersion, 4u);
+  EXPECT_EQ(kCheckpointVersion, 5u);
+  EXPECT_EQ(kShardedCheckpointVersion, 6u);
   // A current single-engine checkpoint carries the offset.
   StreamEngine engine;
   const auto& attacks = ::ddos::testing::SmallDataset().attacks();

@@ -572,13 +572,16 @@ class WatchFeed {
   }
 
   // Skips the region a resumed checkpoint already consumed and seeds its
-  // error tallies, which the feed then reports as its own. A span feed
-  // seeks to the byte offset. stdin has no seekable line positions - the
-  // pipe replays the feed from its start - so resume there counts records
-  // instead, as does binary input (whole skipped blocks are elided).
+  // error tallies and seen ids, which the feed then reports and dedupes
+  // against as its own. A span feed seeks to the byte offset. stdin has no
+  // seekable line positions - the pipe replays the feed from its start - so
+  // resume there counts records instead, and the replay rebuilds the seen
+  // ids (seeding them too would reject every replayed row); binary input
+  // counts records as well (whole skipped blocks are elided).
   void Resume(const stream::CheckpointMeta& meta) {
     if (spans_to_ != nullptr) {
       spans_to_->SeedErrors(meta.errors);
+      spans_to_->SeedSeenIds(meta.seen_ids);
       scanner_->SeekTo(meta.source_offset, meta.source_line);
     } else if (bin_ != nullptr) {
       bin_->SkipRecords(meta.records);
@@ -588,23 +591,27 @@ class WatchFeed {
         csv_->ResumeAtRecords(meta.records);
       } else {
         csv_->ResumeAt(meta.source_line, meta.records);
+        csv_->SeedSeenIds(meta.seen_ids);
       }
       csv_->SeedErrors(meta.errors);
     }
   }
 
-  // The feed position and tallies to checkpoint. On a span feed this takes
-  // a barrier, so the counts are exact at the scanner's line.
+  // The feed position, tallies and seen ids to checkpoint. On a span feed
+  // this takes a barrier, so they are exact at the scanner's line.
   stream::CheckpointMeta Meta() {
     stream::CheckpointMeta meta;
     if (spans_to_ != nullptr) {
       meta.records = spans_to_->ParsedRecords();
       meta.source_line = scanner_->line_number();
       meta.source_offset = scanner_->offset();
+      meta.seen_ids = spans_to_->SeenIds();
+    } else if (csv_ != nullptr) {
+      meta.records = csv_->records_read();
+      meta.source_line = csv_->line_number();
+      meta.seen_ids = csv_->seen_ids();
     } else {
-      meta.records =
-          csv_ != nullptr ? csv_->records_read() : bin_->records_read();
-      meta.source_line = csv_ != nullptr ? csv_->line_number() : 0;
+      meta.records = bin_->records_read();
     }
     meta.errors = Errors();
     return meta;
@@ -881,7 +888,7 @@ int CmdWatch(const std::string& path,
 
   // K = 1 runs StreamEngine on the caller's thread: the threaded sharded
   // engine at K = 1 costs twice the CPU per record, and its merge into an
-  // empty engine recompresses the quantile sketches. It writes version-3
+  // empty engine recompresses the quantile sketches. It writes version-5
   // (single-engine) checkpoints; a multi-section checkpoint folds into it.
   if (shards == 1) {
     stream::StreamEngine engine =
@@ -919,7 +926,7 @@ int CmdWatch(const std::string& path,
   if (restored.has_value()) engine.RestoreFrom(*restored);
   if (feed.spans()) feed.RouteSpansTo(&engine);
   return run(engine, [&](const stream::CheckpointMeta& meta) {
-    engine.SaveCheckpoint(checkpoint_path, meta);  // version 4, timed inside
+    engine.SaveCheckpoint(checkpoint_path, meta);  // version 6, timed inside
   });
 }
 

@@ -6,7 +6,7 @@
 //    blank and rejected lines sit at a --every boundary;
 //  * a run checkpointed on a line-aligned prefix and resumed over the full
 //    feed ends with the view of an uninterrupted run, writing the
-//    checkpoint version its mode always wrote (3 at K=1, 4 above);
+//    checkpoint version its mode writes (5 at K=1, 6 above);
 //  * on an errorful feed, --on-error quarantine=F writes byte-identical
 //    quarantine files and --on-error abort the same message and exit code
 //    for every CSV source and K.
@@ -156,52 +156,64 @@ class WatchCli : public testing::Test {
     }
   }
 
-  static void ExpectResumeMatchesUninterruptedRun(int shards) {
-    // Header plus the first 2,500 rows: a line-aligned byte prefix of the
-    // trace, ending off both the --every and the --checkpoint-every grid.
-    {
-      std::ifstream in(Path("trace.csv"));
-      std::ofstream out(Path("prefix.csv"));
-      std::string line;
-      for (int i = 0; i <= 2500 && std::getline(in, line); ++i) {
-        out << line << "\n";
-      }
+  // Writes `to`.csv: the header plus the first `rows` data rows of
+  // `from`.csv, a line-aligned byte prefix.
+  static void WritePrefix(const std::string& from, const std::string& to,
+                          int rows) {
+    std::ifstream in(Path(from + ".csv"));
+    std::ofstream out(Path(to + ".csv"));
+    std::string line;
+    for (int i = 0; i <= rows && std::getline(in, line); ++i) {
+      out << line << "\n";
     }
+  }
+
+  static void ExpectResumeMatchesUninterruptedRun(int shards) {
+    // 2,500 rows end off both the --every and the --checkpoint-every grid.
+    WritePrefix("trace", "prefix", 2500);
     const RunResult conv = Cli("convert " + Quote(Path("prefix.csv")) + " " +
                                Quote(Path("prefix.bin")));
     ASSERT_EQ(conv.exit_code, 0) << conv.err;
     for (const Source s : kSources) {
-      const Mode m{s, shards};
-      SCOPED_TRACE(ModeName(m));
-      const std::string ckpt = Path("watch.ckpt");
-      std::filesystem::remove(ckpt);
-      const RunResult full = Watch(m, "trace", "--every 1000");
-      ASSERT_EQ(full.exit_code, 0) << full.err;
-      const std::string flags = "--every 1000 --checkpoint " + Quote(ckpt) +
-                                " --checkpoint-every 700";
-      const RunResult prefix = Watch(m, "prefix", flags);
-      ASSERT_EQ(prefix.exit_code, 0) << prefix.err;
-
-      // Checkpoint format version: u32 little-endian after the 8-byte magic.
-      const std::string bytes = ReadFile(ckpt);
-      ASSERT_GE(bytes.size(), 12u);
-      std::uint32_t version = 0;
-      for (int i = 3; i >= 0; --i) {
-        version = version << 8 | static_cast<std::uint8_t>(bytes[8 + i]);
-      }
-      EXPECT_EQ(version, shards == 1 ? 3u : 4u);
-
-      const RunResult resumed = Watch(m, "trace", flags + " --resume");
-      ASSERT_EQ(resumed.exit_code, 0) << resumed.err;
-      EXPECT_EQ(resumed.out.rfind("resumed from ", 0), 0u) << resumed.out;
-      EXPECT_EQ(FinalView(resumed.out), FinalView(full.out));
-      // Every live view after the resume point is the uninterrupted run's.
-      const std::string tail = Normalize(
-          resumed.out.substr(resumed.out.find('\n') + 1));
-      const std::string whole = Normalize(full.out);
-      ASSERT_GE(whole.size(), tail.size());
-      EXPECT_EQ(whole.substr(whole.size() - tail.size()), tail);
+      ExpectResumeMatches({s, shards}, "trace", "prefix", "--every 1000");
     }
+  }
+
+  // A run over `prefix` checkpointed, then resumed over `stem`, ends with
+  // the view of an uninterrupted run over `stem`.
+  static void ExpectResumeMatches(const Mode& m, const std::string& stem,
+                                  const std::string& prefix,
+                                  const std::string& extra) {
+    SCOPED_TRACE(ModeName(m));
+    const std::string ckpt = Path("watch.ckpt");
+    std::filesystem::remove(ckpt);
+    const RunResult full = Watch(m, stem, extra);
+    ASSERT_EQ(full.exit_code, 0) << full.err;
+    const std::string flags = extra + " --checkpoint " + Quote(ckpt) +
+                              " --checkpoint-every 700";
+    const RunResult first = Watch(m, prefix, flags);
+    ASSERT_EQ(first.exit_code, 0) << first.err;
+
+    // Checkpoint format version: u32 little-endian after the 8-byte magic.
+    const std::string bytes = ReadFile(ckpt);
+    ASSERT_GE(bytes.size(), 12u);
+    std::uint32_t version = 0;
+    for (int i = 3; i >= 0; --i) {
+      version = version << 8 | static_cast<std::uint8_t>(bytes[8 + i]);
+    }
+    EXPECT_EQ(version, m.shards == 1 ? 5u : 6u);
+
+    const RunResult resumed = Watch(m, stem, flags + " --resume");
+    ASSERT_EQ(resumed.exit_code, 0) << resumed.err;
+    EXPECT_EQ(resumed.out.rfind("resumed from ", 0), 0u) << resumed.out;
+    EXPECT_EQ(FinalView(resumed.out), FinalView(full.out));
+    // Every line after the resume point - live views, the rejection
+    // report, the final view - is the uninterrupted run's.
+    const std::string tail =
+        Normalize(resumed.out.substr(resumed.out.find('\n') + 1));
+    const std::string whole = Normalize(full.out);
+    ASSERT_GE(whole.size(), tail.size());
+    EXPECT_EQ(whole.substr(whole.size() - tail.size()), tail);
   }
 
   // A fault-injected copy of the trace: every fault class at 2 %, plus a
@@ -236,6 +248,33 @@ TEST_F(WatchCli, ResumeMatchesUninterruptedRunAtK1) {
 
 TEST_F(WatchCli, ResumeMatchesUninterruptedRunAtK2) {
   ExpectResumeMatchesUninterruptedRun(2);
+}
+
+// Under --on-error skip a row repeating the id of a row ingested before
+// the checkpoint is a duplicate after --resume too: the checkpoint carries
+// the seen ids (a CSV file), or the replayed prefix rebuilds them (stdin).
+TEST_F(WatchCli, ResumeStillRejectsARepeatOfAnIdIngestedBeforeTheCheckpoint) {
+  {
+    std::ifstream in(Path("trace.csv"));
+    std::ofstream out(Path("repeat.csv"));
+    std::string line;
+    std::string row100;
+    for (int i = 0; std::getline(in, line); ++i) {
+      out << line << "\n";
+      if (i == 100) row100 = line;
+      if (i == 2000) out << row100 << "\n";
+    }
+  }
+  WritePrefix("repeat", "repeat_prefix", 1500);
+  const std::string flags = "--every 1000 --on-error skip";
+  const RunResult full = Watch({Source::kCsvFile, 1}, "repeat", flags);
+  ASSERT_EQ(full.exit_code, 0) << full.err;
+  EXPECT_NE(full.out.find("1 malformed rows rejected:\n  duplicate-id: 1\n"),
+            std::string::npos)
+      << full.out;
+  for (const Mode& m : kCsvModes) {
+    ExpectResumeMatches(m, "repeat", "repeat_prefix", flags);
+  }
 }
 
 // A blank line and a row the span router rejects leave attacks_seen()
